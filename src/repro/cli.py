@@ -71,15 +71,12 @@ from repro.obs import (
 )
 from repro.fs.balancer import Balancer
 from repro.fs.invariants import collect_violations
+from repro.fs.namespace import Namespace
 from repro.obs.analyze import TraceParseError
 from repro.obs.postmortem import bundle_trace_records
 from repro.util.units import format_bytes, format_rate, parse_bytes
 from repro.workloads.dfsio import Dfsio
-from repro.workloads.slive import (
-    HdfsNamespaceAdapter,
-    OctopusNamespaceAdapter,
-    SLive,
-)
+from repro.workloads.slive import OctopusNamespaceAdapter, SLive
 
 
 def _positive_int(text: str) -> int:
@@ -444,7 +441,7 @@ def cmd_slive(args: argparse.Namespace) -> int:
     if args.ledger_out:
         ledger = ProvenanceLedger(slive.obs).attach()
     octo = slive.run(OctopusNamespaceAdapter())
-    hdfs = slive.run(HdfsNamespaceAdapter())
+    hdfs = slive.run(OctopusNamespaceAdapter(Namespace(tier_order=())))
     rows = [
         [
             op,

@@ -39,7 +39,7 @@ _MAX_TIERS = 7  # 7 tiers + U fit in 64 bits
 class ReplicationVector:
     """An immutable mapping of tier name → replica count, plus U."""
 
-    __slots__ = ("_counts", "_unspecified", "_default_encoding")
+    __slots__ = ("_counts", "_unspecified", "_encoding")
 
     def __init__(
         self,
@@ -57,7 +57,8 @@ class ReplicationVector:
         self._check_entry(UNSPECIFIED, unspecified)
         self._counts = dict(sorted(cleaned.items()))
         self._unspecified = int(unspecified)
-        self._default_encoding: int | None = None
+        #: ``(tier_order, bits)`` of the last encode under a tuple order.
+        self._encoding: tuple[tuple[str, ...], int] | None = None
 
     @staticmethod
     def _check_entry(tier: str, count: int) -> None:
@@ -191,12 +192,14 @@ class ReplicationVector:
         """Pack into 64 bits: 8 bits per tier in ``tier_order``, then U.
 
         The U entry occupies the least-significant byte; tier entries
-        follow in order toward the most-significant end. The default-
-        order encoding is cached (vectors are immutable and the Master
-        encodes on every journaled create).
+        follow in order toward the most-significant end. The encoding
+        under a tuple order is cached against that tuple's identity
+        (vectors are immutable and a namespace encodes with its one
+        order on every journaled create).
         """
-        if tier_order is DEFAULT_TIER_ORDER and self._default_encoding is not None:
-            return self._default_encoding
+        cached = self._encoding
+        if cached is not None and cached[0] is tier_order:
+            return cached[1]
         order = [t.upper() for t in tier_order]
         if len(order) > _MAX_TIERS:
             raise ReplicationVectorError(
@@ -211,8 +214,8 @@ class ReplicationVector:
         for tier in order:
             encoded = (encoded << 8) | self.count(tier)
         encoded = (encoded << 8) | self._unspecified
-        if tier_order is DEFAULT_TIER_ORDER:
-            self._default_encoding = encoded
+        if isinstance(tier_order, tuple):
+            self._encoding = (tier_order, encoded)
         return encoded
 
     @classmethod

@@ -91,6 +91,8 @@ class Namespace:
         self._clock = clock or (lambda: 0.0)
         #: Tier axis used to encode vectors into edit-log records; a
         #: cluster with extra tiers (NVRAM, ...) passes its own order.
+        #: An empty axis is plain HDFS: only U-only vectors encode, and
+        #: they journal as the scalar replication count.
         self.tier_order = tuple(tier_order)
         self.root = INodeDirectory("", "root", "supergroup", DEFAULT_DIR_MODE)
         self._listeners: list[Callable[[dict], None]] = []
@@ -182,29 +184,34 @@ class Namespace:
         self, path: str, user: UserContext = SUPERUSER
     ) -> FileStatus:
         self._count("get_status")
-        node = self._resolve(paths.normalize(path), user)
+        path = paths.normalize(path)
+        node = self._resolve(path, user)
         assert node is not None
-        return self._status_of(node)
+        return self._status_of(node, path)
 
     def list_status(
         self, path: str, user: UserContext = SUPERUSER
     ) -> list[FileStatus]:
         """List a directory's children (or the file itself)."""
         self._count("list_status")
-        node = self._resolve(paths.normalize(path), user)
+        path = paths.normalize(path)
+        node = self._resolve(path, user)
         assert node is not None
         if isinstance(node, INodeFile):
-            return [self._status_of(node)]
+            return [self._status_of(node, path)]
         self._check_access(node, user, READ)
+        # Child paths extend the resolved path; INode.path() would walk
+        # to the root once per child.
+        prefix = "" if path == paths.ROOT else path
         return [
-            self._status_of(child)
-            for _name, child in sorted(node.children.items())
+            self._status_of(child, prefix + "/" + name)
+            for name, child in sorted(node.children.items())
         ]
 
-    def _status_of(self, node: INode) -> FileStatus:
+    def _status_of(self, node: INode, path: str) -> FileStatus:
         if isinstance(node, INodeFile):
             return FileStatus(
-                path=node.path(),
+                path=path,
                 is_directory=False,
                 length=node.length,
                 rep_vector=node.rep_vector,
@@ -216,7 +223,7 @@ class Namespace:
                 under_construction=node.under_construction,
             )
         return FileStatus(
-            path=node.path(),
+            path=path,
             is_directory=True,
             length=0,
             rep_vector=_EMPTY_VECTOR,
@@ -291,6 +298,14 @@ class Namespace:
         Master must deallocate from workers.
         """
         path = paths.normalize(path)
+        # Validate (and encode) before any mutation: a rejected call must
+        # not delete the file it would overwrite nor create parents.
+        if rep_vector.total_replicas < 1:
+            raise PathError(
+                f"file {path!r} needs at least one replica, got "
+                f"{rep_vector.shorthand()}"
+            )
+        encoded = rep_vector.encode(self.tier_order)
         freed: list["Block"] = []
         existing = self._resolve(path, user, need_exists=False)
         if existing is not None:
@@ -301,11 +316,6 @@ class Namespace:
             freed = self.delete(path, user=user)
         parent = self.mkdir(paths.parent(path), user)
         self._check_access(parent, user, WRITE)
-        if rep_vector.total_replicas < 1:
-            raise PathError(
-                f"file {path!r} needs at least one replica, got "
-                f"{rep_vector.shorthand()}"
-            )
         inode = INodeFile(
             paths.basename(path),
             user.user,
@@ -321,7 +331,7 @@ class Namespace:
             path=path,
             user=user.user,
             mode=mode,
-            rep_vector=rep_vector.encode(self.tier_order),
+            rep_vector=encoded,
             block_size=block_size,
         )
         return inode, freed
@@ -411,14 +421,11 @@ class Namespace:
                 f"replication vector must keep >= 1 replica, got "
                 f"{rep_vector.shorthand()}"
             )
+        encoded = rep_vector.encode(self.tier_order)
         old = inode.rep_vector
         inode.rep_vector = rep_vector
         inode.mtime = self._clock()
-        self._emit(
-            "set_replication",
-            path=path,
-            rep_vector=rep_vector.encode(self.tier_order),
-        )
+        self._emit("set_replication", path=path, rep_vector=encoded)
         return inode, old
 
     def set_permission(

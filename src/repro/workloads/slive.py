@@ -3,53 +3,46 @@
 S-Live ("Stress Test for Live Data Verification") hammers the Master
 with a mix of typical file-system operations and reports the rate of
 successful operations per second per operation type. Following the
-paper, we run the same generated workload against the OctopusFS Master
-(replication vectors, tier accounting) and the plain HDFS namesystem
-baseline (:mod:`repro.workloads.hdfs_baseline`), measuring real
-wall-clock CPU cost of the metadata paths — Table 3's "despite the
-extra processing related to the tiers, OctopusFS offers very similar
-performance" claim is about exactly this overhead.
+paper, we run the same generated workload against the OctopusFS
+namespace and the plain HDFS namesystem, measuring real wall-clock CPU
+cost of the metadata paths — Table 3's "despite the extra processing
+related to the tiers, OctopusFS offers very similar performance" claim
+is about exactly this overhead.
 
-Adapters (:class:`OctopusNamespaceAdapter`, :class:`HdfsNamespaceAdapter`)
-give the two namesystems one surface; :class:`SLive` generates and
-executes the operation mix.
+As in the paper, where OctopusFS is an HDFS fork, both systems run one
+code path: HDFS is a :class:`~repro.fs.namespace.Namespace` with an
+empty tier axis (``tier_order=()``), on which the scalar replication
+factor ``r`` is the vector ``⟨U=r⟩`` and encodes to the plain count.
+:class:`OctopusNamespaceAdapter` drives either one; :class:`SLive`
+generates and executes the operation mix.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from repro.core.replication_vector import ReplicationVector
 from repro.fs.master import Master
 from repro.fs.namespace import Namespace
 from repro.util.rng import DeterministicRng
 from repro.util.units import MB
-from repro.workloads.hdfs_baseline import HdfsNamesystem
 
 #: The operation types reported in Table 3.
 OPERATIONS = ("mkdir", "ls", "create", "open", "rename", "delete")
 
 
-class NamespaceAdapter(Protocol):
-    """The minimal surface S-Live drives."""
-
-    def mkdir(self, path: str) -> None: ...
-    def create(self, path: str) -> None: ...
-    def open(self, path: str) -> object: ...
-    def ls(self, path: str) -> object: ...
-    def rename(self, src: str, dst: str) -> None: ...
-    def delete(self, path: str) -> None: ...
-
-
 class OctopusNamespaceAdapter:
-    """Drives the OctopusFS namespace (vectors + tier accounting)."""
+    """Drives a namespace with the S-Live operation surface.
 
-    name = "OctopusFS"
+    The default is the OctopusFS namespace on the paper's tier axis; a
+    namespace built with ``tier_order=()`` is the HDFS baseline, and the
+    adapter reports itself as such.
+    """
 
     def __init__(self, namespace: Namespace | None = None) -> None:
         self.namespace = namespace or Namespace()
+        self.name = "OctopusFS" if self.namespace.tier_order else "HDFS"
         self._vector = ReplicationVector.from_replication_factor(3)
         # Journal like a real Master would: edits go somewhere.
         self.edit_records: list[dict] = []
@@ -76,35 +69,6 @@ class OctopusNamespaceAdapter:
     @classmethod
     def for_master(cls, master: Master) -> "OctopusNamespaceAdapter":
         return cls(master.namespace)
-
-
-class HdfsNamespaceAdapter:
-    """Drives the plain-HDFS baseline namesystem."""
-
-    name = "HDFS"
-
-    def __init__(self, namesystem: HdfsNamesystem | None = None) -> None:
-        self.namesystem = namesystem or HdfsNamesystem()
-        self.edit_records: list[dict] = []
-        self.namesystem.add_listener(self.edit_records.append)
-
-    def mkdir(self, path: str) -> None:
-        self.namesystem.mkdir(path)
-
-    def create(self, path: str) -> None:
-        self.namesystem.create(path)
-
-    def open(self, path: str) -> object:
-        return self.namesystem.open(path)
-
-    def ls(self, path: str) -> object:
-        return self.namesystem.list(path)
-
-    def rename(self, src: str, dst: str) -> None:
-        self.namesystem.rename(src, dst)
-
-    def delete(self, path: str) -> None:
-        self.namesystem.delete(path, recursive=True)
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import OctopusFileSystem, ReplicationVector
+from repro.core.replication_vector import DEFAULT_TIER_ORDER
 from repro.cluster import small_cluster_spec
 from repro.fs import checkpoint as ckpt
 from repro.fs.backup import BackupMaster, restore_master_from_checkpoint
@@ -11,18 +12,26 @@ from repro.fs.namespace import Namespace
 from repro.util.units import MB
 
 RV = ReplicationVector.of(u=2)
+#: The vector of /a/b/f2 per tier axis; HDFS (no tiers) takes a count.
+F2_VECTOR = {
+    DEFAULT_TIER_ORDER: ReplicationVector.of(memory=1, hdd=1),
+    (): ReplicationVector.from_replication_factor(3),
+}
 
 
-def populated_namespace():
-    ns = Namespace()
+def populated_namespace(tier_order=DEFAULT_TIER_ORDER):
+    ns = Namespace(tier_order=tier_order)
     ns.mkdir("/a/b")
     ns.create_file("/a/b/f1", RV, 4 * MB)
     ns.complete_file("/a/b/f1")
-    ns.create_file("/a/f2", ReplicationVector.of(memory=1, hdd=1), 8 * MB)
+    ns.create_file("/a/f2", F2_VECTOR[tier_order], 8 * MB)
     ns.complete_file("/a/f2")
     ns.rename("/a/f2", "/a/b/f2")
     ns.set_permission("/a/b/f1", 0o600)
-    ns.set_quota("/a", namespace_quota=100, tier_space_quota={"SSD": MB})
+    if tier_order:
+        ns.set_quota("/a", namespace_quota=100, tier_space_quota={"SSD": MB})
+    else:
+        ns.set_quota("/a", namespace_quota=100)
     ns.mkdir("/doomed")
     ns.delete("/doomed")
     return ns
@@ -38,21 +47,28 @@ class TestEditLog:
         assert [r["txid"] for r in log.records] == [1, 2]
         assert log.last_txid == 2
 
-    def test_replay_reproduces_tree(self):
+    @staticmethod
+    def check_replay_reproduces_tree(tier_order):
         log = EditLog()
-        ns = Namespace()
+        ns = Namespace(tier_order=tier_order)
         ns.add_listener(log.append)
         # Rebuild the same mutations while logging.
         ns.mkdir("/a/b")
         ns.create_file("/a/b/f1", RV, 4 * MB)
         ns.complete_file("/a/b/f1")
         ns.rename("/a/b/f1", "/a/b/g1")
-        replica = Namespace()
+        replica = Namespace(tier_order=tier_order)
         replay(log.records, replica)
         assert replica.exists("/a/b/g1")
         status = replica.get_status("/a/b/g1")
         assert status.rep_vector == RV
         assert not status.under_construction
+
+    def test_replay_reproduces_tree(self):
+        self.check_replay_reproduces_tree(DEFAULT_TIER_ORDER)
+
+    def test_replay_reproduces_tierless_tree(self):
+        self.check_replay_reproduces_tree(())
 
     def test_replay_preserves_quotas_and_permissions(self):
         log = EditLog()
@@ -84,18 +100,24 @@ class TestEditLog:
 
 
 class TestCheckpoint:
-    def test_roundtrip_structure(self):
-        ns = populated_namespace()
+    @staticmethod
+    def check_roundtrip_structure(tier_order):
+        ns = populated_namespace(tier_order)
         snapshot = ckpt.write_checkpoint(ns, last_txid=17)
         restored, txid = ckpt.load_checkpoint(snapshot)
         assert txid == 17
+        assert restored.tier_order == tier_order
         assert restored.exists("/a/b/f1")
         assert restored.exists("/a/b/f2")
         assert not restored.exists("/doomed")
         assert restored.get_status("/a/b/f1").mode == 0o600
-        assert restored.get_status("/a/b/f2").rep_vector == ReplicationVector.of(
-            memory=1, hdd=1
-        )
+        assert restored.get_status("/a/b/f2").rep_vector == F2_VECTOR[tier_order]
+
+    def test_roundtrip_structure(self):
+        self.check_roundtrip_structure(DEFAULT_TIER_ORDER)
+
+    def test_roundtrip_tierless_structure(self):
+        self.check_roundtrip_structure(())
 
     def test_roundtrip_preserves_block_shape(self):
         from repro.fs.blocks import Block

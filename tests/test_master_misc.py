@@ -4,7 +4,7 @@ import pytest
 
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import Cluster, small_cluster_spec
-from repro.errors import BlockError, WorkerError
+from repro.errors import BlockError, PathError, WorkerError
 from repro.fs.worker import Worker
 from repro.util.units import MB
 
@@ -159,6 +159,18 @@ class TestMasterCornerCases:
         assert fs.master.pending_replication >= 1
         fs.await_replication()
         assert fs.master.pending_replication == 0
+
+    def test_rejected_overwrite_keeps_file_and_blocks(self, fs, client):
+        """Regression: a zero-replica overwrite used to delete the old
+        file before rejecting the vector, orphaning its block."""
+        client.write_file("/keep", size=MB, rep_vector=1)
+        edits = len(fs.master.edit_log.records)
+        blocks = dict(fs.master.block_map)
+        with pytest.raises(PathError):
+            fs.master.create_file("/keep", ReplicationVector(), overwrite=True)
+        assert fs.master.namespace.exists("/keep")
+        assert fs.master.block_map == blocks
+        assert len(fs.master.edit_log.records) == edits
 
     def test_full_scan_mode(self, fs, client):
         client.write_file("/scan", size=MB, rep_vector=2)

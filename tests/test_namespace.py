@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.replication_vector import ReplicationVector
+from repro.core.replication_vector import DEFAULT_TIER_ORDER, ReplicationVector
 from repro.errors import (
     DirectoryNotEmptyError,
     FileAlreadyExistsError,
@@ -14,8 +14,11 @@ from repro.errors import (
     PathError,
     PermissionDeniedError,
     QuotaExceededError,
+    ReplicationVectorError,
 )
-from repro.fs import paths
+from repro.fs import checkpoint, paths
+from repro.fs.blocks import Block
+from repro.fs.inode import INode
 from repro.fs.namespace import Namespace, UserContext
 from repro.util.units import MB
 
@@ -305,6 +308,92 @@ class TestVectorUpdate:
         make_file(ns, "/f")
         with pytest.raises(PathError):
             ns.set_replication_vector("/f", ReplicationVector())
+
+
+class TestListingPaths:
+    """Listed paths extend the resolved path instead of walking to root."""
+
+    @pytest.fixture
+    def count_path_walks(self, monkeypatch):
+        calls = []
+        walk = INode.path
+
+        def counting(node):
+            calls.append(node)
+            return walk(node)
+
+        monkeypatch.setattr(INode, "path", counting)
+        return calls
+
+    def test_deep_listing_walks_no_paths(self, ns, count_path_walks):
+        deep = "/" + "/".join(f"d{i}" for i in range(10))
+        for i in range(25):
+            ns.create_file(f"{deep}/f{i:02d}", RV, BS)
+            ns.mkdir(f"{deep}/s{i:02d}")
+        children = ns.get_file(f"{deep}/f00").parent.children
+        expected = [children[name].path() for name in sorted(children)]
+        count_path_walks.clear()
+        listing = ns.list_status(deep)
+        assert len(listing) == 50
+        assert count_path_walks == []
+        assert [s.path for s in listing] == expected
+
+    def test_root_and_file_listing(self, ns, count_path_walks):
+        make_file(ns, "/top/f")
+        ns.mkdir("/other")
+        assert [s.path for s in ns.list_status("/")] == ["/other", "/top"]
+        assert [s.path for s in ns.list_status("//top/f/")] == ["/top/f"]
+        assert ns.get_status("/top/").path == "/top"
+        assert ns.get_status("/").path == "/"
+        assert count_path_walks == []
+
+
+class TestValidateBeforeMutate:
+    """A rejected create or vector change leaves no trace."""
+
+    @staticmethod
+    def journaled(ns):
+        records = []
+        ns.add_listener(records.append)
+        return records
+
+    def test_rejected_overwrite_keeps_old_file(self, ns):
+        inode = make_file(ns, "/d/f")
+        inode.blocks.append(Block("/d/f", 0, BS))
+        before = checkpoint.write_checkpoint(ns)
+        records = self.journaled(ns)
+        with pytest.raises(PathError):
+            ns.create_file("/d/f", ReplicationVector(), BS, overwrite=True)
+        assert ns.get_file("/d/f") is inode
+        assert checkpoint.write_checkpoint(ns) == before
+        assert records == []
+
+    @pytest.mark.parametrize(
+        "tier_order,vector",
+        [((), ReplicationVector.of(memory=1)),
+         (DEFAULT_TIER_ORDER, ReplicationVector.of(nvram=1))],
+        ids=["tierless-memory", "default-nvram"],
+    )
+    def test_unencodable_create_adds_nothing(self, tier_order, vector):
+        ns = Namespace(tier_order=tier_order)
+        before = checkpoint.write_checkpoint(ns)
+        records = self.journaled(ns)
+        with pytest.raises(ReplicationVectorError):
+            ns.create_file("/new/f", vector, BS)
+        assert not ns.exists("/new")
+        assert checkpoint.write_checkpoint(ns) == before
+        assert records == []
+
+    def test_unencodable_vector_change_keeps_old_vector(self):
+        ns = Namespace(tier_order=())
+        make_file(ns, "/f")
+        before = checkpoint.write_checkpoint(ns)
+        records = self.journaled(ns)
+        with pytest.raises(ReplicationVectorError):
+            ns.set_replication_vector("/f", ReplicationVector.of(memory=1))
+        assert ns.get_status("/f").rep_vector == RV
+        assert checkpoint.write_checkpoint(ns) == before
+        assert records == []
 
 
 @given(
