@@ -19,6 +19,12 @@ The ``monitoring`` section covers the online SLO monitor:
 * **detection** — the chaos scenario's fault→alert delay, a pure
   function of the seed and therefore gated exactly.
 
+The ``enabled`` section frames the cost of switching the metrics and
+tracing layer on at all: the bench-scale DFSIO round untraced vs with
+``obs.enable()``, as a best-of-5 wall ratio and a tracemalloc peak
+ratio (both banded), plus the deterministic utilization sample count
+and the time series' bytes per sample (gated exactly).
+
 The ``provenance`` section covers the decision ledger with the same
 structure: a per-feed microbench times the deterministic decision-record
 count (gated boolean: under 5%), byte-invisibility of the attached
@@ -27,8 +33,10 @@ ledger on the other exports, and seed-determinism of its own .gz export.
 
 import json
 import pathlib
+import sys
 import tempfile
 import time
+import tracemalloc
 
 from repro import OctopusFileSystem, ReplicationVector
 from repro.bench.deployments import build_deployment
@@ -110,8 +118,79 @@ def run_observed_dfsio(scale: float, seed: int = 0) -> dict:
         },
         "recorder": measure_recorder(scale),
         "provenance": measure_provenance(scale),
+        "enabled": measure_enabled(),
     }
     return data
+
+
+# ----------------------------------------------------------------------
+# Enabled vs disabled data points
+# ----------------------------------------------------------------------
+def _bench_dfsio(enabled: bool, seed: int = 0):
+    """Build the deployment and run one full-size DFSIO round (10 GB, d=27).
+
+    Returns ``(fs, wall seconds of the write+read round)``.
+    """
+    fs = build_deployment(
+        "octopus", spec=paper_cluster_spec(racks=1, seed=seed), seed=seed
+    )
+    if enabled:
+        fs.obs.enable()
+    bench = Dfsio(fs)
+    start = time.perf_counter()
+    bench.write(10 * GB, parallelism=27)
+    bench.read(parallelism=27)
+    return fs, time.perf_counter() - start
+
+
+def _tracemalloc_peak(enabled: bool) -> int:
+    """Peak traced bytes of one deployment build plus DFSIO round."""
+    tracemalloc.start()
+    try:
+        _bench_dfsio(enabled)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def measure_enabled() -> dict:
+    """What turning observability on costs a DFSIO round.
+
+    The round is fixed-size, like the provenance section's, because at
+    reduced scales it shrinks to a few milliseconds and the ratios
+    would gate timer noise. The walls are best-of-3, interleaved so
+    host speed swings hit both variants alike; the committed figures
+    are their ratio and the tracemalloc peak ratio, gated within bands
+    (the wall ratio's is wide: it spans 1.0-1.5 run to run on a shared
+    two-core host).
+    The sample count is a pure function of the seed, and bytes per
+    sample follows from it, so both gate exactly.
+    """
+    _bench_dfsio(enabled=True)  # warm imports and allocator pools
+    disabled_wall = enabled_wall = None
+    for _ in range(5):
+        _, wall = _bench_dfsio(enabled=False)
+        disabled_wall = wall if disabled_wall is None else min(disabled_wall, wall)
+        fs, wall = _bench_dfsio(enabled=True)
+        enabled_wall = wall if enabled_wall is None else min(enabled_wall, wall)
+    series = [
+        instrument for instrument in fs.obs.metrics.instruments()
+        if instrument.kind == "timeseries"
+    ]
+    samples = sum(len(instrument.samples) for instrument in series)
+    series_bytes = sum(sys.getsizeof(instrument) for instrument in series)
+    return {
+        # Wall-clock values are machine noise: reported, never gated.
+        "disabled_wall_s": disabled_wall,
+        "enabled_wall_s": enabled_wall,
+        "enabled_wall_ratio": enabled_wall / disabled_wall,
+        "enabled_tracemalloc_peak_ratio": (
+            _tracemalloc_peak(enabled=True)
+            / _tracemalloc_peak(enabled=False)
+        ),
+        "timeseries_samples": samples,
+        "timeseries_bytes_per_sample": series_bytes / samples,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -619,3 +698,10 @@ def test_observability_data_points(benchmark, bench_scale, record_result):
     assert provenance["invisible_when_attached"]
     assert provenance["export_deterministic"]
     assert provenance["decision_records"] > 0
+
+    # Enabled vs disabled: the utilization series are columnar (16 B
+    # per sample plus per-series and array-growth overhead).
+    enabled = data["enabled"]
+    assert enabled["timeseries_samples"] > 0
+    assert 16 <= enabled["timeseries_bytes_per_sample"] < 24
+    assert enabled["enabled_tracemalloc_peak_ratio"] > 1.0

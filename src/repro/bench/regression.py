@@ -84,6 +84,13 @@ RULESETS: dict[str, tuple[Rule, ...]] = {
         Rule("provenance.*_wall_s", None),
         Rule("provenance.feed_overhead_per_record_us", None),
         Rule("provenance.overhead_percent", None),
+        # Enabled vs disabled DFSIO: raw walls are noise; the wall ratio
+        # swings ~1.0-1.5 on a shared host, so its band only catches a
+        # gross regression; the tracemalloc peak ratio is steadier.
+        # Sample counts and bytes per sample gate exactly.
+        Rule("enabled.*_wall_s", None),
+        Rule("enabled.enabled_wall_ratio", 0.5),
+        Rule("enabled.enabled_tracemalloc_peak_ratio", 0.2),
         Rule("*", EXACT),
     ),
     # bench_tiering: latencies, hit rates, and engine activity are all

@@ -12,7 +12,7 @@ knows its expected shape.
 
 from __future__ import annotations
 
-from repro.core.replication_vector import ReplicationVector
+from repro.core.replication_vector import DEFAULT_TIER_ORDER, ReplicationVector
 from repro.fs.blocks import Block
 from repro.fs.inode import INodeDirectory, INodeFile
 from repro.fs.namespace import Namespace
@@ -22,35 +22,22 @@ FORMAT_VERSION = 1
 
 def write_checkpoint(namespace: Namespace, last_txid: int = 0) -> dict:
     """Serialize the namespace into a checkpoint dict."""
-    _ORDER.order = namespace.tier_order
     return {
         "version": FORMAT_VERSION,
         "last_txid": last_txid,
         "tier_order": list(namespace.tier_order),
-        "root": _serialize_dir(namespace.root),
+        "root": _serialize_dir(namespace.root, namespace.tier_order),
     }
 
 
-class _OrderHolder:
-    """Thread the active tier order through the recursive serializers."""
-
-    def __init__(self) -> None:
-        from repro.core.replication_vector import DEFAULT_TIER_ORDER
-
-        self.order = DEFAULT_TIER_ORDER
-
-
-_ORDER = _OrderHolder()
-
-
-def _serialize_dir(directory: INodeDirectory) -> dict:
+def _serialize_dir(directory: INodeDirectory, order: tuple[str, ...]) -> dict:
     children = []
     for name in sorted(directory.children):
         child = directory.children[name]
         if isinstance(child, INodeDirectory):
-            children.append(_serialize_dir(child))
+            children.append(_serialize_dir(child, order))
         elif isinstance(child, INodeFile):
-            children.append(_serialize_file(child))
+            children.append(_serialize_file(child, order))
     return {
         "type": "dir",
         "name": directory.name,
@@ -64,7 +51,7 @@ def _serialize_dir(directory: INodeDirectory) -> dict:
     }
 
 
-def _serialize_file(inode: INodeFile) -> dict:
+def _serialize_file(inode: INodeFile, order: tuple[str, ...]) -> dict:
     return {
         "type": "file",
         "name": inode.name,
@@ -72,7 +59,7 @@ def _serialize_file(inode: INodeFile) -> dict:
         "group": inode.group,
         "mode": inode.mode,
         "mtime": inode.mtime,
-        "rep_vector": inode.rep_vector.encode(_ORDER.order),
+        "rep_vector": inode.rep_vector.encode(order),
         "block_size": inode.block_size,
         "under_construction": inode.under_construction,
         "blocks": [[block.block_id, block.size] for block in inode.blocks],
@@ -87,16 +74,15 @@ def load_checkpoint(snapshot: dict) -> tuple[Namespace, int]:
     """
     if snapshot.get("version") != FORMAT_VERSION:
         raise ValueError(f"unknown checkpoint version: {snapshot.get('version')!r}")
-    from repro.core.replication_vector import DEFAULT_TIER_ORDER
-
     order = tuple(snapshot.get("tier_order", DEFAULT_TIER_ORDER))
     namespace = Namespace(tier_order=order)
-    _ORDER.order = order
-    _load_dir(snapshot["root"], namespace.root)
+    _load_dir(snapshot["root"], namespace.root, order)
     return namespace, snapshot.get("last_txid", 0)
 
 
-def _load_dir(record: dict, directory: INodeDirectory) -> None:
+def _load_dir(
+    record: dict, directory: INodeDirectory, order: tuple[str, ...]
+) -> None:
     directory.owner = record["owner"]
     directory.group = record["group"]
     directory.mode = record["mode"]
@@ -109,14 +95,14 @@ def _load_dir(record: dict, directory: INodeDirectory) -> None:
                 child["mtime"],
             )
             directory.add_child(sub)
-            _load_dir(child, sub)
+            _load_dir(child, sub, order)
         else:
             inode = INodeFile(
                 child["name"],
                 child["owner"],
                 child["group"],
                 child["mode"],
-                ReplicationVector.decode(child["rep_vector"], _ORDER.order),
+                ReplicationVector.decode(child["rep_vector"], order),
                 child["block_size"],
                 child["mtime"],
             )

@@ -55,13 +55,14 @@ import heapq
 import itertools
 import math
 import os
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
+    from repro.obs.registry import Gauge, MetricsRegistry, TimeSeries
     from repro.obs.tracing import Span
     from repro.sim.engine import SimulationEngine, TimerHandle
 
@@ -76,40 +77,27 @@ _MIN_DT = 1e-9
 _resource_ids = itertools.count()
 
 
-class FlowSet:
-    """Insertion-ordered set of flows (a dict-backed ordered set).
+class FlowSet(dict):
+    """Insertion-ordered set of flows (a ``dict`` whose values are unused).
 
     Attach order equals ``flow.seq`` order, which gives two properties
     the scheduler leans on: iteration is deterministic across runs
     (``set`` iteration follows object addresses), and per-resource
-    demand sums no longer need an O(F log F) sort per sample.
+    demand sums no longer need an O(F log F) sort per sample. As a
+    ``dict`` subclass, length, iteration, membership and truth tests
+    run in C on the solver's and the sampler's hot paths.
     """
 
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: dict = {}
+    __slots__ = ()
 
     def add(self, flow) -> None:
-        self._items[flow] = None
+        self[flow] = None
 
     def discard(self, flow) -> None:
-        self._items.pop(flow, None)
-
-    def __contains__(self, flow) -> bool:
-        return flow in self._items
-
-    def __iter__(self) -> Iterator:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
+        self.pop(flow, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FlowSet n={len(self._items)}>"
+        return f"<FlowSet n={len(self)}>"
 
 
 class Resource:
@@ -294,6 +282,10 @@ def _seq_key(flow: Flow) -> int:
     return flow.seq
 
 
+def _name_key(resource: Resource) -> tuple[str, int]:
+    return resource.name, resource._rid
+
+
 class FlowScheduler:
     """Runs the fluid model on top of a :class:`SimulationEngine`."""
 
@@ -330,6 +322,19 @@ class FlowScheduler:
             ) from None
         self.solver = solver_cls(self)
         self.solver_name = name
+        #: Resources crossed by at least one active flow, keyed by
+        #: ``_rid``; kept by ``start_flow`` and ``_detach`` as a
+        #: resource's flow set turns non-empty or empty.
+        self._busy: dict[int, Resource] = {}
+        #: ``_busy`` in sampling order, paired with each resource's
+        #: utilization series; ``None`` after a membership change.
+        self._busy_order: "list[tuple[Resource, TimeSeries]] | None" = None
+        #: Utilization instruments, minted on first use and bound to
+        #: ``_bound_registry``; a new registry (``obs.disable()`` then
+        #: ``obs.enable()``) drops them.
+        self._bound_registry: "MetricsRegistry | None" = None
+        self._flows_gauge: "Gauge | None" = None
+        self._series: "dict[int, TimeSeries]" = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -377,7 +382,11 @@ class FlowScheduler:
             return flow
         self.active.add(flow)
         for resource in flow.resources:
-            resource.flows.add(flow)
+            flows = resource.flows
+            if not flows:
+                self._busy[resource._rid] = resource
+                self._busy_order = None
+            flows.add(flow)
         self._reallocate(seed_flows=(flow,))
         return flow
 
@@ -437,7 +446,13 @@ class FlowScheduler:
         self.active.discard(flow)
         flow._wake_token += 1
         for resource in flow.resources:
-            resource.flows.discard(flow)
+            flows = resource.flows
+            flows.discard(flow)
+            if not flows:
+                # pop, not del: callers may attach load stubs to
+                # ``resource.flows`` directly, bypassing start_flow.
+                self._busy.pop(resource._rid, None)
+                self._busy_order = None
 
     def _materialize(self, flow: Flow) -> None:
         """Integrate the flow's progress from ``last_advanced`` to now.
@@ -656,21 +671,43 @@ class FlowScheduler:
         with the simulation time. Resources are visited in name order so
         identical runs emit identical series; per-resource demand sums
         in attach (= seq) order because :class:`FlowSet` preserves it.
+
+        The cost is one clock read per call plus, per busy resource, a
+        walk of its flows and one column append: instruments are bound
+        once per resource, and the name-sorted busy list is rebuilt only
+        when a resource turns busy or idle.
         """
         metrics = self.obs.metrics
-        metrics.gauge("flows_active").set(len(self.active))
-        involved: dict[str, Resource] = {}
-        for flow in self.active:
-            for resource in flow.resources:
-                involved[resource.name] = resource
-        for name in sorted(involved):
-            resource = involved[name]
+        if metrics is not self._bound_registry:
+            self._bound_registry = metrics
+            self._flows_gauge = metrics.gauge("flows_active")
+            self._series = {}
+            self._busy_order = None
+        self._flows_gauge.set(len(self.active))
+        order = self._busy_order
+        if order is None:
+            order = self._busy_order = self._bind_busy(metrics)
+        now = metrics.now()
+        for resource, series in order:
             capacity = resource.effective_capacity()
             demand = 0.0
             for flow in resource.flows:
                 rate = flow.rate
                 if rate != math.inf:
                     demand += rate
-            metrics.timeseries("resource_utilization", resource=name).sample(
-                demand / capacity if capacity > 0 else 0.0
-            )
+            series.sample_at(now, demand / capacity if capacity > 0 else 0.0)
+
+    def _bind_busy(
+        self, metrics: "MetricsRegistry"
+    ) -> "list[tuple[Resource, TimeSeries]]":
+        """The busy resources in name order, each with its series."""
+        series = self._series
+        order = []
+        for resource in sorted(self._busy.values(), key=_name_key):
+            bound = series.get(resource._rid)
+            if bound is None:
+                bound = series[resource._rid] = metrics.timeseries(
+                    "resource_utilization", resource=resource.name
+                )
+            order.append((resource, bound))
+        return order

@@ -101,6 +101,32 @@ class TestCompareResults:
         assert not report.ok
         assert report.violations[0].path == "overhead.enabled_ratio"
 
+    def test_observability_enabled_section_bands(self):
+        def result(**enabled) -> dict:
+            section = {
+                "disabled_wall_s": 0.1,
+                "enabled_wall_s": 0.13,
+                "enabled_wall_ratio": 1.3,
+                "enabled_tracemalloc_peak_ratio": 2.1,
+                "timeseries_samples": 7943,
+                "timeseries_bytes_per_sample": 19.05,
+            }
+            section.update(enabled)
+            return {"benchmark": "observability", "scale": 0.2,
+                    "enabled": section}
+
+        noisy = result(enabled_wall_s=0.5, enabled_wall_ratio=1.8,
+                       enabled_tracemalloc_peak_ratio=2.4)
+        assert compare_results(result(), noisy).ok
+        for field, value in (
+            ("enabled_wall_ratio", 2.6),
+            ("enabled_tracemalloc_peak_ratio", 3.4),
+            ("timeseries_samples", 7944),
+            ("timeseries_bytes_per_sample", 19.06),
+        ):
+            report = compare_results(result(), result(**{field: value}))
+            assert [v.path for v in report.violations] == [f"enabled.{field}"]
+
     def test_missing_key_is_violation_extra_key_is_note(self):
         candidate = _perf_result()
         del candidate["slive"]["sim_ops_total"]

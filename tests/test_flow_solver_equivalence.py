@@ -267,6 +267,28 @@ class TestFlowSet:
         fset.discard(marker)
         assert not fset
 
+    def test_is_a_slotted_dict(self):
+        fset = FlowSet()
+        assert isinstance(fset, dict)
+        assert not hasattr(fset, "__dict__")
+        assert repr(fset) == "<FlowSet n=0>"
+
+
+def test_busy_index_follows_attached_resources():
+    """The sampler's busy index holds exactly the resources that some
+    active flow crosses."""
+    engine = SimulationEngine()
+    sched = FlowScheduler(engine)
+    b, a, idle = Resource("b", 10.0), Resource("a", 10.0), Resource("c", 10.0)
+    first = sched.start_flow(100.0, [b])
+    second = sched.start_flow(200.0, [a, b])
+    assert sched._busy == {b._rid: b, a._rid: a}
+    assert idle._rid not in sched._busy
+    sched.cancel_flow(second, RuntimeError("gone"))
+    assert sched._busy == {b._rid: b}
+    engine.run(first.completed)
+    assert sched._busy == {}
+
 
 def test_component_selection_is_exact():
     """BFS from a seed flow returns exactly its connected component."""

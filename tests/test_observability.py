@@ -161,6 +161,49 @@ class TestMetricsRegistry:
         assert series.samples == [(0.0, 0.5), (10.0, 0.75)]
         assert series.last == 0.75
 
+    def test_timeseries_columns_match_sample_tuples(self):
+        clock = FakeClock(1.0)
+        reg = MetricsRegistry(clock)
+        series = reg.timeseries("util", resource="nic")
+        assert series.samples == [] and series.last is None
+        series.sample(1)
+        series.sample_at(2.5, 0.25)
+        clock.now = 4.0
+        series.sample(True)
+        expected = [(1.0, 1.0), (2.5, 0.25), (4.0, 1.0)]
+        assert series.samples == expected
+        assert len(series.samples) == 3
+        assert all(type(v) is float for pair in series.samples for v in pair)
+        assert series.last == 1.0
+        assert series.data() == {"samples": [list(p) for p in expected]}
+        # samples is a copy: mutating it cannot rewrite the series.
+        series.samples.append((9.0, 9.0))
+        assert series.samples == expected
+
+    def test_timeseries_watchers_see_float_values(self):
+        reg = MetricsRegistry(FakeClock(0.0))
+        seen = []
+        reg.watch("timeseries", "util", lambda inst, v: seen.append((inst, v)))
+        series = reg.timeseries("util")
+        series.sample(3)
+        series.sample_at(1.0, 0.5)
+        assert seen == [(series, 3.0), (series, 0.5)]
+        assert type(seen[0][1]) is float
+
+    def test_timeseries_stores_sixteen_bytes_per_sample(self):
+        import sys
+
+        series = MetricsRegistry().timeseries("util")
+        empty = sys.getsizeof(series)
+        for index in range(10_000):
+            series.sample_at(float(index), 0.5)
+        grown = sys.getsizeof(series)
+        assert 16 <= (grown - empty) / 10_000 < 18  # 16 B plus array slack
+
+    def test_null_instrument_accepts_sample_at(self):
+        NULL_INSTRUMENT.sample_at(1.0, 2.0)
+        assert NULL_INSTRUMENT.last is None
+
     def test_instruments_ordered_deterministically(self):
         reg = MetricsRegistry()
         reg.counter("z_total")
@@ -659,3 +702,133 @@ class TestSchemaVersioning:
 
         data = json.loads(metrics_json(registry))
         assert data["schema_version"] == SCHEMA_VERSION
+
+
+# ----------------------------------------------------------------------
+# Utilization sampler: pinned exports of the flow scheduler's sampler
+# ----------------------------------------------------------------------
+def _snapshot_digest(registry) -> str:
+    import hashlib
+
+    blob = json.dumps(registry.snapshot(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _sampled_dfsio(seed: int = 5) -> OctopusFileSystem:
+    fs = build_deployment(
+        "octopus", spec=paper_cluster_spec(racks=1, seed=seed), seed=seed
+    )
+    fs.obs.enable()
+    bench = Dfsio(fs)
+    bench.write(int(1024 * MB), parallelism=4)
+    bench.read(parallelism=4)
+    return fs
+
+
+def _sampled_faulted_flows():
+    """Raw flows across NICs, uplinks and media, with a medium degraded,
+    a NIC capped and one flow cancelled while the others are in flight."""
+    from repro.cluster import Cluster
+
+    cluster = Cluster(small_cluster_spec(workers=6, racks=2, seed=4))
+    cluster.obs.enable()
+    engine, flows = cluster.engine, cluster.flows
+    workers = cluster.worker_nodes
+    started = []
+    for index in range(12):
+        src = workers[index % len(workers)]
+        dst = workers[(index * 5 + 1) % len(workers)]
+        medium = dst.live_media[index % len(dst.live_media)]
+        path = cluster.topology.path_resources(src, dst)
+        started.append(
+            flows.start_flow(
+                (8 + 3 * index) * MB,
+                [*path, medium.write_channel],
+                label=f"f{index}",
+            )
+        )
+    engine.call_at(0.01, lambda: cluster.degrade_medium(
+        workers[1].live_media[0].medium_id, 0.1))
+    engine.call_at(0.02, lambda: cluster.cap_node_rate(workers[2].name, 0.25))
+    engine.call_at(0.03, lambda: flows.cancel_flow(
+        started[7], RuntimeError("cancelled mid-flight")))
+    engine.run()
+    return cluster
+
+
+class TestUtilizationSampler:
+    """The utilization sampler's exports are pinned to fixed digests.
+
+    Both digests were taken before the sampler's instruments were bound
+    once per resource; any change to which resources are sampled, when,
+    in what order or with what value changes them.
+    """
+
+    DFSIO_DIGEST = (
+        "41720e7410f018d76dc8f83977be82b256e9f17912222ef97ca8a1d9ffb95446"
+    )
+    FAULTED_DIGEST = (
+        "739cc304fec13c32d1215136cde565e38508a61a0d90a6800587ad0d3f99fed8"
+    )
+
+    def test_dfsio_snapshot_digest(self):
+        fs = _sampled_dfsio()
+        assert _snapshot_digest(fs.obs.metrics) == self.DFSIO_DIGEST
+
+    def test_faulted_flows_snapshot_digest(self):
+        cluster = _sampled_faulted_flows()
+        assert _snapshot_digest(cluster.obs.metrics) == self.FAULTED_DIGEST
+
+    def test_reenable_binds_the_new_registry(self):
+        from repro.cluster import Cluster
+
+        cluster = Cluster(small_cluster_spec(seed=2))
+        obs, flows = cluster.obs, cluster.flows
+        nodes = cluster.worker_nodes
+        path = cluster.topology.path_resources(nodes[0], nodes[1])
+        obs.enable()
+        first = obs.metrics
+        flows.start_flow(4 * MB, path)
+        cluster.engine.run()
+        before = _snapshot_digest(first)
+        obs.disable()
+        flows.start_flow(4 * MB, path)  # sampled nowhere
+        cluster.engine.run()
+        obs.enable()
+        second = obs.metrics
+        assert second is not first
+        restarted = cluster.engine.now
+        flows.start_flow(4 * MB, path)
+        cluster.engine.run()
+        assert _snapshot_digest(first) == before
+        util = [
+            i for i in second.instruments()
+            if i.name == "resource_utilization"
+        ]
+        assert {dict(i.labels)["resource"] for i in util} == {
+            r.name for r in path
+        }
+        assert all(t >= restarted for i in util for t, _ in i.samples)
+        assert second.gauge("flows_active").value == 0.0
+
+    def test_never_busy_resources_get_no_series(self):
+        # The faulted scenario only writes, so no read channel is busy.
+        cluster = _sampled_faulted_flows()
+        sampled = {
+            dict(i.labels)["resource"]
+            for i in cluster.obs.metrics.instruments()
+            if i.name == "resource_utilization"
+        }
+        idle = {medium.read_channel.name for medium in cluster.media.values()}
+        assert sampled and not sampled & idle
+
+    def test_sample_times_are_monotone(self):
+        for registry in (
+            _sampled_dfsio().obs.metrics,
+            _sampled_faulted_flows().obs.metrics,
+        ):
+            for instrument in registry.instruments():
+                if instrument.kind != "timeseries":
+                    continue
+                times = [t for t, _ in instrument.samples]
+                assert times and times == sorted(times)
