@@ -156,37 +156,10 @@ class TieringResult:
 
 
 def run_policy(
-    policy_name: str,
-    scale: float = 1.0,
-    seed: int = 0,
-    recorder_out: str | None = None,
-    ledger_out: str | None = None,
+    policy_name: str, scale: float = 1.0, seed: int = 0
 ) -> PolicyOutcome:
-    """One seeded workload-shift run under one policy.
-
-    ``recorder_out`` attaches a flight recorder for the run and dumps
-    any incident bundles into ``<recorder_out>/<policy_name>/``.
-    ``ledger_out`` attaches a provenance ledger and writes its decision
-    records to ``<ledger_out>.<policy_name>.jsonl.gz`` — the input for
-    ``repro explain``.
-    """
+    """One seeded workload-shift run under one policy."""
     fs = build_deployment("octopus", spec=small_cluster_spec(seed=seed), seed=seed)
-    recorder = None
-    if recorder_out is not None:
-        import os
-
-        from repro.obs import FlightRecorder
-
-        fs.obs.enable()
-        recorder = FlightRecorder(
-            fs, out_dir=os.path.join(recorder_out, policy_name)
-        ).attach()
-    ledger = None
-    if ledger_out is not None:
-        from repro.obs import ProvenanceLedger
-
-        fs.obs.enable()
-        ledger = ProvenanceLedger(fs.obs).attach()
     workload = WorkloadShift(
         fs,
         files=8,
@@ -210,11 +183,6 @@ def run_policy(
     engine.stop()
     fs.stop_services()
     fs.await_replication()
-    if recorder is not None:
-        recorder.detach()
-    if ledger is not None:
-        ledger.detach()
-        ledger.export(f"{ledger_out}.{policy_name}.jsonl.gz")
     return PolicyOutcome(
         policy=policy_name,
         result=result,
@@ -225,21 +193,11 @@ def run_policy(
 
 
 def run(
-    scale: float = 1.0,
-    seed: int = 0,
-    policy: str = "both",
-    recorder_out: str | None = None,
-    ledger_out: str | None = None,
+    scale: float = 1.0, seed: int = 0, policy: str = "both"
 ) -> TieringResult:
     """Run the comparison (or a single policy with ``policy=``)."""
     names = POLICIES if policy == "both" else (policy,)
     result = TieringResult(scale=scale, seed=seed)
     for name in names:
-        result.outcomes[name] = run_policy(
-            name,
-            scale=scale,
-            seed=seed,
-            recorder_out=recorder_out,
-            ledger_out=ledger_out,
-        )
+        result.outcomes[name] = run_policy(name, scale=scale, seed=seed)
     return result

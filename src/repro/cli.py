@@ -35,6 +35,7 @@ replica here?") from a provenance ledger exported with ``--ledger-out``::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
@@ -50,7 +51,6 @@ from repro.obs import (
     FlightRecorder,
     HealthMonitor,
     ObsCapture,
-    ProvenanceLedger,
     SloMonitor,
     analysis_json,
     analyze_trace,
@@ -67,7 +67,6 @@ from repro.obs import (
     validate_ledger_records,
     write_chrome_trace,
     write_jsonl,
-    write_metrics,
 )
 from repro.fs.balancer import Balancer
 from repro.fs.invariants import collect_violations
@@ -227,25 +226,44 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="attach the flight recorder and dump incident bundles "
-        "(gzip JSON) into DIR when triggers fire (implies observability)",
+        "(gzip JSON) into DIR, or DIR/run-<i>/ per deployment when the "
+        "run builds several (implies observability)",
     )
     parser.add_argument(
         "--ledger-out",
         default=None,
         metavar="PATH",
         help="attach the provenance ledger and write its decision "
-        "records as JSONL (.gz compresses; implies observability); "
-        "query with `repro explain`",
+        "records as JSONL (.gz compresses; implies observability), one "
+        "<stem>.run-<i>.<suffix> file per deployment when the run builds "
+        "several; query with `repro explain`",
     )
 
 
-def _export_observability(obs, args: argparse.Namespace) -> None:
-    if args.metrics_out:
-        write_metrics(obs.metrics, args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-    if args.trace_out:
-        write_jsonl(obs.tracer.records, args.trace_out)
-        print(f"trace written to {args.trace_out}")
+def _capture(args: argparse.Namespace, force: bool = False):
+    """The command's capture scope: an :class:`ObsCapture` over the
+    capture flags when any is set (or ``force``), else a no-op."""
+    flags = ("metrics_out", "trace_out", "recorder_out", "ledger_out")
+    outputs = {flag: getattr(args, flag) for flag in flags}
+    if force or any(outputs.values()):
+        return ObsCapture(**outputs)
+    return contextlib.nullcontext()
+
+
+def _print_capture(capture: ObsCapture | None) -> None:
+    """Report what a finished capture wrote."""
+    if capture is None:
+        return
+    runs = len(capture.captured)
+    suffix = "" if runs == 1 else f" ({runs} runs)"
+    if capture.recorders:
+        _print_recorder_summary(capture.recorders)
+    for ledger, path in zip(capture.ledgers, capture.ledger_paths):
+        print(f"ledger written to {path} ({len(ledger)} decision record(s))")
+    if capture.metrics_out:
+        print(f"metrics written to {capture.metrics_out}{suffix}")
+    if capture.trace_out:
+        print(f"trace written to {capture.trace_out}{suffix}")
 
 
 def _parse_vector(text: str | None) -> ReplicationVector | int:
@@ -260,78 +278,40 @@ def _parse_vector(text: str | None) -> ReplicationVector | int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     module = ALL_EXPERIMENTS[args.name]
     run_kwargs = {"scale": args.scale, "seed": args.seed}
-    parameters = inspect.signature(module.run).parameters
     if args.policy is not None:
-        if "policy" not in parameters:
+        if "policy" not in inspect.signature(module.run).parameters:
             print(
                 f"error: experiment {args.name!r} does not take --policy",
                 file=sys.stderr,
             )
             return 2
         run_kwargs["policy"] = args.policy
-    if args.recorder_out is not None:
-        if "recorder_out" not in parameters:
-            print(
-                f"error: experiment {args.name!r} does not take "
-                "--recorder-out",
-                file=sys.stderr,
-            )
-            return 2
-        run_kwargs["recorder_out"] = args.recorder_out
-    if args.ledger_out is not None:
-        if "ledger_out" not in parameters:
-            print(
-                f"error: experiment {args.name!r} does not take "
-                "--ledger-out",
-                file=sys.stderr,
-            )
-            return 2
-        run_kwargs["ledger_out"] = args.ledger_out
-    if args.metrics_out or args.trace_out:
-        # Experiments build their deployments internally (often several
-        # per run); the capture scope enables observability on each one
-        # and merges the telemetry on export.
-        with ObsCapture() as capture:
-            result = module.run(**run_kwargs)
-        print(result.format())
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(
-                    capture.metrics_text(
-                        as_json=args.metrics_out.endswith(".json")
-                    )
-                )
-            print(f"metrics written to {args.metrics_out} "
-                  f"({len(capture.captured)} deployment(s))")
-        if args.trace_out:
-            write_jsonl(capture.merged_trace_records(), args.trace_out)
-            print(f"trace written to {args.trace_out} "
-                  f"({len(capture.captured)} deployment(s))")
-        return 0
-    result = module.run(**run_kwargs)
+    # Experiments build their deployments internally (often several per
+    # run); the capture scope wires each one as it is built.
+    with _capture(args) as capture:
+        result = module.run(**run_kwargs)
     print(result.format())
+    _print_capture(capture)
     return 0
 
 
 def cmd_dfsio(args: argparse.Namespace) -> int:
+    with_slo = args.slo or bool(args.alerts_out)
+    with _capture(args, force=with_slo) as capture:
+        _run_dfsio(args, with_slo)
+    _print_capture(capture)
+    return 0
+
+
+def _run_dfsio(args: argparse.Namespace, with_slo: bool) -> None:
     spec = paper_cluster_spec(racks=args.racks, seed=args.seed)
     fs = build_deployment(args.deployment, spec=spec, seed=args.seed)
-    with_slo = args.slo or bool(args.alerts_out)
-    if (args.metrics_out or args.trace_out or with_slo or args.recorder_out
-            or args.ledger_out):
-        fs.obs.enable()
     monitors: tuple = ()
     slo_monitor = None
     if with_slo:
         slo_monitor = SloMonitor(fs, rules=default_read_rules())
         health = HealthMonitor(fs, sink=slo_monitor.sink)
         monitors = (slo_monitor, health)
-    recorder = None
-    if args.recorder_out:
-        recorder = FlightRecorder(fs, out_dir=args.recorder_out).attach()
-    ledger = None
-    if args.ledger_out:
-        ledger = ProvenanceLedger(fs.obs).attach()
     bench = Dfsio(fs, monitors=monitors)
     vector = _parse_vector(args.vector)
     write = bench.write(
@@ -361,33 +341,24 @@ def cmd_dfsio(args: argparse.Namespace) -> int:
         if args.alerts_out:
             write_jsonl(slo_monitor.sink.timeline, args.alerts_out)
             print(f"alerts written to {args.alerts_out}")
-    if recorder is not None:
-        recorder.detach()
-        _print_recorder_summary(recorder)
-    if ledger is not None:
-        ledger.detach()
-        ledger.export(args.ledger_out)
-        print(f"ledger written to {args.ledger_out} "
-              f"({len(ledger)} decision record(s))")
-    _export_observability(fs.obs, args)
-    return 0
 
 
-def _print_recorder_summary(recorder: FlightRecorder) -> None:
-    if recorder.incidents:
-        for summary in recorder.incidents:
-            where = f" -> {summary['path']}" if summary["path"] else ""
-            print(
-                f"incident #{summary['id']}: {summary['triggers']} "
-                f"trigger(s) at {summary['triggered_at']:.3f}s, "
-                f"{summary['records']} records{where}"
-            )
-    else:
-        print("flight recorder: no incidents")
-    if recorder.dropped_triggers:
+def _print_recorder_summary(recorders: list[FlightRecorder]) -> None:
+    incidents = [summary for r in recorders for summary in r.incidents]
+    for summary in incidents:
+        where = f" -> {summary['path']}" if summary["path"] else ""
         print(
-            f"flight recorder: {recorder.dropped_triggers} trigger(s) "
-            "dropped (max_incidents reached)"
+            f"incident #{summary['id']}: {summary['triggers']} "
+            f"trigger(s) at {summary['triggered_at']:.3f}s, "
+            f"{summary['records']} records{where}"
+        )
+    if not incidents:
+        print("flight recorder: no incidents")
+    dropped = sum(r.dropped_triggers for r in recorders)
+    if dropped:
+        print(
+            f"flight recorder: {dropped} trigger(s) dropped "
+            "(max_incidents reached)"
         )
 
 
@@ -424,22 +395,14 @@ def _print_watch_summary(monitor: SloMonitor) -> None:
 
 
 def cmd_slive(args: argparse.Namespace) -> int:
-    obs = None
-    if args.metrics_out or args.trace_out or args.recorder_out or args.ledger_out:
-        from repro.obs import Observability
+    with _capture(args) as capture:
+        _run_slive(args)
+    _print_capture(capture)
+    return 0
 
-        obs = Observability(enabled=True)
-    slive = SLive(ops_per_type=args.ops, seed=args.seed, obs=obs)
-    recorder = None
-    if args.recorder_out:
-        # S-Live is engine-less: incidents can't close on a timer, so
-        # detach() below seals any open one at end of run.
-        recorder = FlightRecorder(
-            obs=slive.obs, out_dir=args.recorder_out
-        ).attach()
-    ledger = None
-    if args.ledger_out:
-        ledger = ProvenanceLedger(slive.obs).attach()
+
+def _run_slive(args: argparse.Namespace) -> None:
+    slive = SLive(ops_per_type=args.ops, seed=args.seed)
     octo = slive.run(OctopusNamespaceAdapter())
     hdfs = slive.run(OctopusNamespaceAdapter(Namespace(tier_order=())))
     rows = [
@@ -459,17 +422,6 @@ def cmd_slive(args: argparse.Namespace) -> int:
             title=f"S-Live ({args.ops} ops per type)",
         )
     )
-    if recorder is not None:
-        recorder.detach()
-        _print_recorder_summary(recorder)
-    if ledger is not None:
-        ledger.detach()
-        ledger.export(args.ledger_out)
-        print(f"ledger written to {args.ledger_out} "
-              f"({len(ledger)} decision record(s))")
-    if obs is not None:
-        _export_observability(slive.obs, args)
-    return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -6,7 +6,7 @@ from repro.cluster.media import StorageMedium, StorageTier
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.topology import NetworkTopology, Node
 from repro.errors import ConfigurationError
-from repro.obs import Observability, active_capture
+from repro.obs import Observability, join_capture
 from repro.sim.engine import SimulationEngine
 from repro.sim.flows import FlowScheduler
 from repro.util.rng import DeterministicRng
@@ -28,11 +28,7 @@ class Cluster:
         #: Metrics + tracing bundle, stamped by the sim clock. Disabled
         #: (near-zero-cost) until someone calls ``obs.enable()``.
         self.obs = Observability(clock=lambda: self.engine.now)
-        capture = active_capture()
-        if capture is not None:
-            # An enclosing ObsCapture scope (e.g. the CLI's experiment
-            # --trace-out) collects this cluster's telemetry.
-            capture.attach(self.obs)
+        join_capture(self)  # e.g. the CLI's --trace-out collects it
         self.flows = FlowScheduler(self.engine, obs=self.obs)
         self.rng = DeterministicRng(spec.seed, "cluster")
         self.topology = NetworkTopology()

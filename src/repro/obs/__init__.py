@@ -30,6 +30,8 @@ See ``docs/OBSERVABILITY.md`` for the metric catalog and span taxonomy.
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Callable
 
 from repro.obs.analyze import (
@@ -49,6 +51,8 @@ from repro.obs.chrome import (
     write_chrome_trace,
 )
 from repro.obs.export import (
+    SCHEMA_VERSION,
+    _write_text,
     metrics_json,
     prometheus_text,
     read_jsonl_records,
@@ -109,6 +113,7 @@ __all__ = [
     "Observability",
     "ObsCapture",
     "active_capture",
+    "join_capture",
     "MetricsRegistry",
     "NullRegistry",
     "Tracer",
@@ -243,22 +248,58 @@ def active_capture() -> "ObsCapture | None":
     return _capture_stack[-1] if _capture_stack else None
 
 
-class ObsCapture:
-    """Collect telemetry from every cluster built inside a ``with`` block.
+def join_capture(system=None, *, obs: Observability | None = None) -> None:
+    """Register an obs owner with the active capture scope, if any.
 
-    The experiment runners (``repro experiment fig2`` etc.) construct
-    deployments internally — sometimes dozens per run — so the CLI
-    cannot reach in and enable each one's observability. A capture scope
-    inverts the hookup: :class:`repro.cluster.Cluster` checks
-    :func:`active_capture` at construction and, inside a scope, enables
-    its bundle and registers it here. On exit the capture merges every
-    registered tracer into one valid record stream (span ids are
-    offset per tracer so they stay unique and referentially intact) and
-    every registry into one snapshot.
+    Owners call this once, when they create their bundle: a
+    :class:`repro.cluster.Cluster` passes itself as ``system``, an
+    engine-less harness such as S-Live passes ``obs=``.
+    """
+    capture = active_capture()
+    if capture is not None:
+        capture.attach(system, obs=obs)
+
+
+def _run_path(path: str, index: int) -> str:
+    """``ledger.jsonl.gz`` → ``ledger.run-<index>.jsonl.gz``."""
+    head, name = os.path.split(path)
+    stem, dot, suffix = name.partition(".")
+    return os.path.join(head, f"{stem}.run-{index}{dot}{suffix}")
+
+
+class ObsCapture:
+    """Collect telemetry from every obs owner created inside a ``with``.
+
+    Commands build their deployments internally (experiments often
+    several per run), so the CLI cannot wire each one. Instead, obs
+    owners call :func:`join_capture` when created; the capture enables
+    their bundle and, when ``recorder_out`` / ``ledger_out`` are set,
+    attaches a :class:`FlightRecorder` and a :class:`ProvenanceLedger`.
+
+    A clean exit detaches them (which seals any open incident) and
+    writes the exports. One captured bundle writes to the exact paths
+    given. Several write one ledger (``ledger.run-<i>.jsonl.gz``) and
+    bundle directory (``<recorder_out>/run-<i>/``) each, one metrics
+    document with per-run sections, and one merged trace whose span ids
+    are offset per tracer so they stay unique and referentially intact.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        metrics_out: str | None = None,
+        trace_out: str | None = None,
+        recorder_out: str | None = None,
+        ledger_out: str | None = None,
+    ) -> None:
+        self.metrics_out = metrics_out
+        self.trace_out = trace_out
+        self.recorder_out = recorder_out
+        self.ledger_out = ledger_out
         self.captured: list[Observability] = []
+        self.recorders: list[FlightRecorder] = []
+        self.ledgers: list[ProvenanceLedger] = []
+        #: Where each ledger was written, parallel to :attr:`ledgers`.
+        self.ledger_paths: list[str] = []
 
     def __enter__(self) -> "ObsCapture":
         _capture_stack.append(self)
@@ -266,11 +307,47 @@ class ObsCapture:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _capture_stack.pop()
+        if exc_type is None:
+            self.finish()
 
-    def attach(self, obs: Observability) -> None:
-        """Enable ``obs`` and include it in the merged exports."""
+    def attach(self, system=None, *, obs: Observability | None = None) -> None:
+        """Enable and wire one bundle. ``system`` is anything with
+        ``.obs`` and ``.engine``; engine-less owners pass ``obs=``."""
+        if system is not None:
+            obs = system.obs
         obs.enable()
         self.captured.append(obs)
+        if self.recorder_out:
+            self.recorders.append(FlightRecorder(system, obs=obs).attach())
+        if self.ledger_out:
+            self.ledgers.append(ProvenanceLedger(obs).attach())
+
+    def finish(self) -> None:
+        """Detach the observers and write every requested export."""
+        single = len(self.captured) == 1
+        for index, recorder in enumerate(self.recorders):
+            recorder.detach()
+            recorder.export(
+                self.recorder_out if single
+                else os.path.join(self.recorder_out, f"run-{index}")
+            )
+        for index, ledger in enumerate(self.ledgers):
+            ledger.detach()
+            path = (
+                self.ledger_out if single
+                else _run_path(self.ledger_out, index)
+            )
+            ledger.export(path)
+            self.ledger_paths.append(path)
+        if self.metrics_out:
+            _write_text(
+                self.metrics_text(
+                    as_json=self.metrics_out.endswith((".json", ".json.gz"))
+                ),
+                self.metrics_out,
+            )
+        if self.trace_out:
+            write_jsonl(self.merged_trace_records(), self.trace_out)
 
     def merged_trace_records(self) -> list[dict]:
         """All captured records as one stream with disjoint id spaces.
@@ -293,35 +370,24 @@ class ObsCapture:
             offset += tracer.ids_issued
         return merged
 
-    def merged_metrics_snapshot(self) -> dict:
-        """One snapshot per captured registry, as ``{"runs": [...]}``.
+    def metrics_text(self, as_json: bool) -> str:
+        """Merged metrics as canonical JSON or Prometheus text.
 
-        A single-registry capture returns its snapshot unwrapped, so the
-        common one-deployment case stays shaped like ``write_metrics``
-        output.
+        One registry yields exactly :func:`write_metrics` output; several
+        yield one ``{"runs": [...]}`` document or stacked ``# run <i>``
+        sections.
         """
         if len(self.captured) == 1:
-            return self.captured[0].metrics.snapshot()
-        return {
-            "runs": [
-                {"run": index, **obs.metrics.snapshot()}
+            registry = self.captured[0].metrics
+            return (metrics_json if as_json else prometheus_text)(registry)
+        if not as_json:
+            return "".join(
+                f"# run {index}\n" + prometheus_text(obs.metrics)
                 for index, obs in enumerate(self.captured)
-            ]
-        }
-
-    def metrics_text(self, as_json: bool) -> str:
-        """Merged metrics as canonical JSON or stacked Prometheus text."""
-        import json as _json
-
-        if as_json:
-            from repro.obs.export import SCHEMA_VERSION
-
-            document = {
-                "schema_version": SCHEMA_VERSION,
-                **self.merged_metrics_snapshot(),
-            }
-            return _json.dumps(document, sort_keys=True, indent=2) + "\n"
-        sections = []
-        for index, obs in enumerate(self.captured):
-            sections.append(f"# run {index}\n" + prometheus_text(obs.metrics))
-        return "".join(sections)
+            )
+        runs = [
+            {"run": index, **obs.metrics.snapshot()}
+            for index, obs in enumerate(self.captured)
+        ]
+        document = {"schema_version": SCHEMA_VERSION, "runs": runs}
+        return json.dumps(document, sort_keys=True, indent=2) + "\n"

@@ -439,16 +439,23 @@ class FlightRecorder:
             ),
             "path": None,
         }
-        if self.out_dir:
-            os.makedirs(self.out_dir, exist_ok=True)
-            path = os.path.join(
-                self.out_dir, f"incident-{incident['id']:03d}.json.gz"
-            )
-            write_bundle(bundle, path)
-            summary["path"] = path
-            self.bundle_paths.append(path)
         self.bundles.append(bundle)
         self.incidents.append(summary)
+        if self.out_dir:
+            self.export(self.out_dir)
+
+    def export(self, out_dir: str) -> None:
+        """Write every closed bundle not yet on disk into ``out_dir``
+        (for a destination only known at end of run)."""
+        for summary, bundle in zip(self.incidents, self.bundles):
+            if summary["path"] is None:
+                os.makedirs(out_dir, exist_ok=True)
+                path = os.path.join(
+                    out_dir, f"incident-{summary['id']:03d}.json.gz"
+                )
+                write_bundle(bundle, path)
+                summary["path"] = path
+                self.bundle_paths.append(path)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -470,7 +477,7 @@ class FlightRecorder:
         return to_jsonl(
             [
                 *self.spans, *self.events, *self.metric_deltas,
-                *self.faults, *self.health, *self.alerts,
+                *self.faults, *self.health, *self.alerts, *self.decisions,
             ]
         )
 

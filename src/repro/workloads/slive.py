@@ -99,9 +99,10 @@ class SLive:
         self.dirs = dirs
         self.seed = seed
         if obs is None:
-            from repro.obs import Observability
+            from repro.obs import Observability, join_capture
 
             obs = Observability()  # disabled no-op bundle
+            join_capture(obs=obs)  # e.g. the CLI's --trace-out collects it
         #: Optional :class:`~repro.obs.Observability`; S-Live is a pure
         #: metadata benchmark with no simulation engine, so its metrics
         #: are wall-clock-free counters and per-phase events.

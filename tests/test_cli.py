@@ -1,11 +1,28 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.bench.deployments import build_deployment
 from repro.cli import build_parser, main
-from repro.obs import validate_chrome_trace, validate_trace_records
+from repro.cluster.spec import paper_cluster_spec
+from repro.obs import (
+    FlightRecorder,
+    HealthMonitor,
+    ProvenanceLedger,
+    SloMonitor,
+    default_read_rules,
+    read_jsonl_records,
+    validate_chrome_trace,
+    validate_ledger_records,
+    validate_trace_records,
+    write_jsonl,
+    write_metrics,
+)
+from repro.util.units import parse_bytes
+from repro.workloads.dfsio import Dfsio
 
 
 class TestParser:
@@ -160,6 +177,116 @@ class TestExperimentCapture:
         span_ids = [r["span_id"] for r in records if r["kind"] == "span"]
         assert len(span_ids) == len(set(span_ids))
 
+    def test_table3_capture_exports_slive(self, tmp_path, capsys):
+        # S-Live builds no cluster; its engine-less obs joins the capture.
+        metrics = tmp_path / "metrics.json"
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            [
+                "experiment", "table3",
+                "--scale", "0.05",
+                "--metrics-out", str(metrics),
+                "--trace-out", str(trace),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        records = read_jsonl_records(str(trace))
+        assert records
+        assert validate_trace_records(records) == []
+        counters = json.loads(metrics.read_text())["counters"]
+        assert {c["labels"]["system"] for c in counters
+                if c["name"] == "slive_ops_total"} == {"HDFS", "OctopusFS"}
+
+    def test_fig5_writes_one_ledger_per_deployment(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.json"
+        bundles = tmp_path / "bundles"
+        code = main(
+            [
+                "experiment", "fig5",
+                "--scale", "0.05",
+                "--metrics-out", str(metrics),
+                "--ledger-out", str(tmp_path / "L.jsonl.gz"),
+                "--recorder-out", str(bundles),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        runs = len(json.loads(metrics.read_text())["runs"])
+        assert runs > 1
+        ledgers = sorted(p.name for p in tmp_path.glob("L*"))
+        assert ledgers == sorted(f"L.run-{i}.jsonl.gz" for i in range(runs))
+        for name in ledgers:
+            records = read_jsonl_records(str(tmp_path / name))
+            assert records
+            assert validate_ledger_records(records) == []
+        if bundles.exists():
+            assert all(p.name.startswith("run-") for p in bundles.iterdir())
+
+
+def _file_digests(root):
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestCaptureMatchesHandWiring:
+    """The CLI's capture scope is the same program as wiring the
+    observers by hand: every export is byte-identical."""
+
+    @pytest.mark.parametrize(
+        "size, parallelism, incidents",
+        [("256MB", 4, 0), ("16GB", 27, 1)],
+    )
+    def test_dfsio_exports(self, tmp_path, capsys, size, parallelism,
+                           incidents):
+        cli = tmp_path / "cli"
+        lib = tmp_path / "lib"
+        cli.mkdir()
+        lib.mkdir()
+        code = main(
+            [
+                "dfsio",
+                "--size", size,
+                "-d", str(parallelism),
+                "--slo",
+                "--alerts-out", str(cli / "alerts.jsonl"),
+                "--trace-out", str(cli / "trace.jsonl"),
+                "--metrics-out", str(cli / "metrics.json"),
+                "--ledger-out", str(cli / "ledger.jsonl.gz"),
+                "--recorder-out", str(cli / "bundles"),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+
+        fs = build_deployment(
+            "octopus", spec=paper_cluster_spec(racks=1, seed=0), seed=0
+        )
+        fs.obs.enable()
+        slo = SloMonitor(fs, rules=default_read_rules())
+        health = HealthMonitor(fs, sink=slo.sink)
+        recorder = FlightRecorder(fs, out_dir=str(lib / "bundles")).attach()
+        ledger = ProvenanceLedger(fs.obs).attach()
+        bench = Dfsio(fs, monitors=(slo, health))
+        bench.write(parse_bytes(size), parallelism=parallelism, rep_vector=3)
+        bench.read(parallelism=parallelism)
+        recorder.detach()
+        ledger.detach()
+        ledger.export(str(lib / "ledger.jsonl.gz"))
+        write_metrics(fs.obs.metrics, str(lib / "metrics.json"))
+        write_jsonl(fs.obs.tracer.records, str(lib / "trace.jsonl"))
+        write_jsonl(slo.sink.timeline, str(lib / "alerts.jsonl"))
+
+        assert len(recorder.incidents) == incidents
+        expected = _file_digests(lib)
+        assert len(expected) == 4 + incidents
+        assert _file_digests(cli) == expected
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -303,13 +430,6 @@ class TestRecorderFlag:
         assert "flight recorder: no incidents" in capsys.readouterr().out
         assert list(bundles.iterdir()) == []
 
-    def test_experiment_without_support_rejected(self, tmp_path, capsys):
-        code = main(
-            ["experiment", "table2", "--recorder-out", str(tmp_path)]
-        )
-        assert code == 2
-        assert "does not take --recorder-out" in capsys.readouterr().err
-
     def test_tiering_experiment_accepts_recorder_out(self, tmp_path, capsys):
         code = main(
             [
@@ -383,25 +503,21 @@ class TestLedgerFlag:
         assert "ledger written to" in capsys.readouterr().out
         assert ledger.exists()
 
-    def test_experiment_without_support_rejected(self, tmp_path, capsys):
-        code = main(
-            ["experiment", "table2", "--ledger-out", str(tmp_path / "l")]
-        )
-        assert code == 2
-        assert "does not take --ledger-out" in capsys.readouterr().err
-
     def test_tiering_experiment_accepts_ledger_out(self, tmp_path, capsys):
-        stem = tmp_path / "ledger"
+        # One policy is one deployment, so the ledger lands at the exact
+        # path given.
+        ledger = tmp_path / "ledger.jsonl.gz"
         code = main(
             [
                 "experiment", "tiering",
                 "--scale", "0.1",
                 "--policy", "adaptive",
-                "--ledger-out", str(stem),
+                "--ledger-out", str(ledger),
             ]
         )
         assert code == 0
-        assert (tmp_path / "ledger.adaptive.jsonl.gz").exists()
+        assert f"ledger written to {ledger}" in capsys.readouterr().out
+        assert validate_ledger_records(read_jsonl_records(str(ledger))) == []
 
     def test_report_json_includes_balancer_section(self, capsys):
         assert main(["report", "--workers", "4", "--json"]) == 0

@@ -23,6 +23,7 @@ from repro.obs import (
     NULL_RECORDER,
     FlightRecorder,
     Observability,
+    ProvenanceLedger,
     RecorderConfig,
     metrics_json,
     prometheus_text,
@@ -216,6 +217,13 @@ class TestRings:
         dump = recorder.dump()
         assert dump.startswith('{"end":0.25')
         assert dump == recorder.dump()
+
+    def test_dump_includes_mirrored_decisions(self):
+        obs, clock, recorder = make_recorder()
+        ledger = ProvenanceLedger(obs).attach()
+        record = ledger.on_delete("/f", blocks=2)
+        assert list(recorder.decisions) == [record]
+        assert recorder.dump() == to_jsonl([record])
 
 
 # ----------------------------------------------------------------------
