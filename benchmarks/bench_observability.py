@@ -371,7 +371,7 @@ def measure_chaos_detection(seed: int = 0) -> dict:
 # Flight-recorder data points
 # ----------------------------------------------------------------------
 def _per_trace_record_seconds(attached: bool, iters: int = 50_000) -> float:
-    """Best-of-3 seconds per tracer event, with/without the recorder tap."""
+    """Best-of-3 seconds per tracer event, with/without the recorder subscribed."""
     obs = Observability(enabled=True)
     if attached:
         FlightRecorder(obs=obs).attach()
@@ -383,7 +383,7 @@ def _per_trace_record_seconds(attached: bool, iters: int = 50_000) -> float:
             tracer.event("probe")
         elapsed = time.perf_counter() - start
         # The tracer's own stream grows unboundedly by design; clear it
-        # between rounds so the loop measures tap cost, not allocation
+        # between rounds so the loop measures subscriber cost, not allocation
         # pressure from an ever-larger list.
         tracer.records.clear()
         best = elapsed if best is None else min(best, elapsed)

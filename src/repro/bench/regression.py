@@ -73,7 +73,7 @@ RULESETS: dict[str, tuple[Rule, ...]] = {
     "observability": (
         Rule("monitoring.slive_*_wall_s", None),
         Rule("monitoring.slive_overhead_*", None),
-        # Flight-recorder walls and tap costs are machine noise; the
+        # Flight-recorder walls and subscriber costs are machine noise; the
         # committed verdicts are its booleans (overhead_within_bound,
         # invisible_when_quiet, ...), gated exactly by the catch-all.
         Rule("recorder.*_wall_s", None),

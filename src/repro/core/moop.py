@@ -268,16 +268,34 @@ def _apply_client_colocation(
     return local or options
 
 
+class Placement(list):
+    """The media :func:`place_replicas` chose, in pipeline order.
+
+    ``decision`` is the decision's observability record (per-objective
+    scores, the ideal point, the global-criterion score, and — with a
+    provenance ledger attached — each entry's rejected alternatives),
+    or ``None`` when observability is off. It travels with the targets
+    it describes, so callers never read another decision's scores.
+    """
+
+    __slots__ = ("decision",)
+
+    def __init__(self, media, decision: dict | None) -> None:
+        super().__init__(media)
+        self.decision = decision
+
+
 def place_replicas(
     cluster: "Cluster",
     request: PlacementRequest,
     objectives: Sequence[str] = ALL_OBJECTIVES,
     ctx: ObjectiveContext | None = None,
     rng=None,
-) -> list["StorageMedium"]:
+) -> Placement:
     """Algorithm 2: greedily choose media for every entry of the vector.
 
-    Returns the chosen media in pipeline order. Raises
+    Returns the chosen media in pipeline order, as a :class:`Placement`
+    carrying the decision record. Raises
     :class:`~repro.errors.InsufficientStorageError` when a replica
     cannot be placed anywhere.
 
@@ -349,10 +367,12 @@ def place_replicas(
                     ],
                 }
             )
-    _record_decision(
-        cluster, request, objectives, ctx, base, chosen, entries_detail
+    return Placement(
+        chosen,
+        _record_decision(
+            cluster, request, objectives, ctx, base, chosen, entries_detail
+        ),
     )
-    return chosen
 
 
 def _record_decision(
@@ -363,17 +383,17 @@ def _record_decision(
     base: list["StorageMedium"],
     chosen: list["StorageMedium"],
     entries_detail: list[dict] | None = None,
-) -> None:
+) -> dict | None:
     """Publish the decision's per-objective scores to observability.
 
-    Writes ``obs.last_placement`` (picked up by the client stream that
-    triggered the allocation, across the master RPC boundary) and emits
-    a ``placement.decision`` event parented to whatever span is current
-    — inside :meth:`Master.allocate_block` that is the allocation span.
+    Emits a ``placement.decision`` event parented to whatever span is
+    current — inside :meth:`Master.allocate_block` that is the
+    allocation span — and returns the decision record for the
+    :class:`Placement`, or ``None`` when observability is off.
     """
     obs = getattr(cluster, "obs", None)
     if obs is None or not obs.enabled:
-        return
+        return None
     final = base + chosen
     actual = objective_vector(final, ctx, objectives)
     ideal = ideal_vector(len(final), ctx, objectives)
@@ -389,7 +409,6 @@ def _record_decision(
         # Ledger-only payload; the placement.decision event below names
         # its attrs explicitly, so traces stay byte-identical.
         decision["entries"] = entries_detail
-    obs.last_placement = decision
     obs.metrics.counter("placement_decisions_total").inc()
     for tier in {m.tier_name for m in chosen}:
         obs.metrics.counter("placement_replicas_total", tier=tier).inc(
@@ -403,6 +422,7 @@ def _record_decision(
         chosen=decision["chosen"],
         **decision["objectives"],
     )
+    return decision
 
 
 def exhaustive_place_replicas(

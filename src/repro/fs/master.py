@@ -201,7 +201,6 @@ class Master:
                     if obs.enabled:
                         obs.tracer.event("worker.dead", worker=node.name)
                         obs.metrics.counter("workers_declared_dead_total").inc()
-                        obs.ledger.on_liveness("dead", node.name)
                 continue
             if record.dead or record.silent:
                 continue
@@ -216,7 +215,6 @@ class Master:
                 if obs.enabled:
                     obs.tracer.event("worker.silent", worker=node.name)
                     obs.metrics.counter("workers_declared_silent_total").inc()
-                    obs.ledger.on_liveness("silent", node.name)
         if obs.enabled:
             obs.metrics.gauge("workers_reachable").set(
                 sum(1 for r in self.workers.values() if r.reachable)
@@ -422,8 +420,7 @@ class Master:
             # The allocation span covers the placement decision; while it
             # is the implicit current span (this method never yields),
             # ``place_replicas`` parents its ``placement.decision`` event
-            # here and fills ``obs.last_placement`` for the caller.
-            obs.last_placement = None
+            # here.
             span = obs.tracer.start_span(
                 "master.allocate_block",
                 block=f"{inode.path()}#{len(inode.blocks)}",
@@ -442,8 +439,11 @@ class Master:
                 targets=[m.medium_id for m in targets],
                 tiers=[m.tier_name for m in targets],
             )
-            if obs.last_placement is not None:
-                span.annotate(placement_score=obs.last_placement["score"])
+            # MOOP results carry their decision; other policies' plain
+            # lists carry none.
+            decision = getattr(targets, "decision", None)
+            if decision is not None:
+                span.annotate(placement_score=decision["score"])
             span.end()
             obs.metrics.counter("allocations_total").inc()
             alloc_span = span
@@ -462,7 +462,7 @@ class Master:
                 vector=inode.rep_vector.shorthand(),
                 cause="allocate",
                 targets=targets,
-                decision=obs.last_placement,
+                decision=getattr(targets, "decision", None),
                 span=alloc_span,
             )
         return block, targets
@@ -773,11 +773,6 @@ class Master:
             existing_replicas=tuple(r.medium for r in meta.replicas if r.live),
             memory_enabled=True,
         )
-        obs = self.obs
-        if obs.ledger.enabled:
-            # Clear the side channel so a stale earlier decision cannot
-            # masquerade as this repair's placement scores.
-            obs.last_placement = None
         try:
             targets = self.placement_policy.choose_targets(self.cluster, request)
         except InsufficientStorageError:
@@ -799,11 +794,12 @@ class Master:
         source = next(r for r in live if r.medium is ordered[0])
         destination.reserve(meta.block.capacity)
         worker = self.worker_for(destination.node)
-        # Snapshot the placement scores and the recent fault/liveness
-        # context *now* — by the time the repair process runs, both may
-        # describe some other decision.
-        placement = obs.last_placement if obs.ledger.enabled else None
-        context = obs.ledger.recent_context()
+        # Snapshot the recent fault/liveness context *now* — by the time
+        # the repair process runs, it may describe some other decision.
+        placement = context = None
+        if self.obs.ledger.enabled:
+            placement = getattr(targets, "decision", None)
+            context = self.obs.ledger.recent_context()
         return self.cluster.engine.process(
             self._repair_proc(
                 meta, worker, source, destination, tier, placement, context
@@ -855,12 +851,14 @@ class Master:
             if span is not None:
                 span.end("error", error=type(exc).__name__)
                 obs.metrics.counter("repairs_failed_total").inc()
-            obs.ledger.on_repair_outcome(ledger_rec, "failed")
+            if ledger_rec is not None and obs.ledger.enabled:
+                obs.ledger.on_repair_outcome(ledger_rec, "failed")
             return None
         if span is not None:
             span.end()
             obs.metrics.counter("repairs_completed_total").inc()
-        obs.ledger.on_repair_outcome(ledger_rec, "completed")
+        if ledger_rec is not None and obs.ledger.enabled:
+            obs.ledger.on_repair_outcome(ledger_rec, "completed")
         meta.replicas.append(replica)
         self.namespace.charge_tier_space(
             meta.inode, replica.tier_name, meta.block.size

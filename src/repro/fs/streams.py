@@ -251,10 +251,11 @@ class FSDataOutputStream:
                     block=f"{self._path}#{block.index}",
                     tiers=[m.tier_name for m in targets],
                 )
-                if obs.last_placement is not None:
+                decision = getattr(targets, "decision", None)
+                if decision is not None:
                     flow.span.annotate(
-                        moop=obs.last_placement["objectives"],
-                        placement_score=obs.last_placement["score"],
+                        moop=decision["objectives"],
+                        placement_score=decision["score"],
                     )
             try:
                 yield flow.completed

@@ -183,7 +183,7 @@ class Observability:
     """One switchable bundle of metrics + tracing for a cluster."""
 
     __slots__ = ("enabled", "metrics", "tracer", "recorder", "ledger",
-                 "last_placement", "_clock")
+                 "_clock")
 
     def __init__(
         self,
@@ -196,7 +196,7 @@ class Observability:
         self.tracer: Tracer | NullTracer = NULL_TRACER
         #: The attached :class:`~repro.obs.recorder.FlightRecorder`, or
         #: the shared no-op singleton — instrumented sites feed it
-        #: unconditionally (``obs.recorder.on_fault(...)``), so the
+        #: unconditionally (``obs.recorder.on_alert(...)``), so the
         #: detached path costs one attribute load and a no-op call.
         self.recorder: FlightRecorder | NullRecorder = NULL_RECORDER
         #: The attached :class:`~repro.obs.provenance.ProvenanceLedger`,
@@ -204,12 +204,6 @@ class Observability:
         #: construction on ``obs.ledger.enabled`` (one attribute load
         #: and a falsy check when detached).
         self.ledger: ProvenanceLedger | NullLedger = NULL_LEDGER
-        #: Side channel: the most recent placement decision's objective
-        #: scores, written by ``core.moop.place_replicas`` and read by
-        #: the client stream that triggered the allocation (the two are
-        #: separated by the master RPC boundary). ``None`` when the last
-        #: allocation bypassed MOOP (rule-based/HDFS policies).
-        self.last_placement: dict | None = None
         if enabled:
             self.enable()
 
@@ -232,7 +226,6 @@ class Observability:
         if self.ledger is not NULL_LEDGER:
             self.ledger.detach()
         self.ledger = NULL_LEDGER
-        self.last_placement = None
         return self
 
     def now(self) -> float:

@@ -14,11 +14,14 @@ The ledger follows the flight recorder's determinism contract exactly:
 * **Pure observer** — it mints no metric instruments and emits no
   trace records, so trace/metrics/Prometheus exports of a run with an
   attached ledger are byte-identical to a run without one.
-* **NULL-singleton detached path** — instrumented sites feed
-  ``obs.ledger`` unconditionally; detached, that is the shared
-  :data:`NULL_LEDGER` whose methods are no-ops, so every feed costs one
-  attribute load and a falsy ``enabled`` check (expensive record
-  construction is gated on ``obs.ledger.enabled`` at the call site).
+* **NULL-singleton detached path** — every decision site checks
+  ``obs.ledger.enabled`` before it builds a record; detached, that is
+  the shared :data:`NULL_LEDGER`, so each site costs one attribute load
+  and a falsy check.
+* **Evidence from the trace** — the faults and worker-liveness verdicts
+  a repair record cites come from the tracer stream itself: the ledger
+  subscribes to it and keeps the last few ``fault.<kind>``,
+  ``worker.dead`` and ``worker.silent`` events.
 * **Byte-stable exports** — records carry only simulation-time
   timestamps and seed-stable identifiers (``path#index``, medium ids,
   deterministic span ids — never process-global block ids), and
@@ -46,7 +49,6 @@ from repro.obs.export import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Span
-    from repro.sim.faults import FaultRecord
 
 __all__ = [
     "ProvenanceLedger",
@@ -84,7 +86,7 @@ _ACTION_KEYS = {
 _BASE_KEYS = ("kind", "seq", "time", "action", "path")
 
 #: How many recent fault/liveness context entries a repair record
-#: snapshots (the "triggering fault" evidence).
+#: snapshots (the "triggering fault" evidence); the ledger keeps no more.
 _CONTEXT_DEPTH = 5
 
 
@@ -116,8 +118,11 @@ class ProvenanceLedger:
         self.seq = 0
         #: Recent fault/liveness happenings, snapshot into repair
         #: records as their triggering context.
-        self._context: deque = deque(maxlen=32)
+        self._context: deque = deque(maxlen=_CONTEXT_DEPTH)
         self._attached = False
+        #: The tracer :meth:`attach` subscribed to (``obs.disable()``
+        #: swaps in the null tracer before it detaches us).
+        self._tracer = None
 
     # ------------------------------------------------------------------
     # Lifecycle (mirrors FlightRecorder.attach/detach)
@@ -127,16 +132,19 @@ class ProvenanceLedger:
         return self._attached
 
     def attach(self) -> "ProvenanceLedger":
-        """Become ``obs.ledger`` so decision sites start feeding us."""
+        """Become ``obs.ledger`` so decision sites start feeding us, and
+        subscribe to the tracer for repair context."""
         if self._attached:
             raise ConfigurationError("ledger already attached")
-        if getattr(self.obs.ledger, "enabled", False):
+        if self.obs.ledger.enabled:
             raise ConfigurationError(
                 "another ProvenanceLedger is already attached to this "
                 "obs bundle; detach it first"
             )
         self._attached = True
         self.obs.ledger = self
+        self._tracer = self.obs.tracer
+        self._tracer.subscribers.append(self._on_trace_record)
         return self
 
     def detach(self) -> None:
@@ -144,6 +152,7 @@ class ProvenanceLedger:
         if not self._attached:
             return
         self._attached = False
+        self._tracer.subscribers.remove(self._on_trace_record)
         if self.obs.ledger is self:
             self.obs.ledger = NULL_LEDGER
 
@@ -153,12 +162,7 @@ class ProvenanceLedger:
     def _base(self, action: str, path: str, span: "Span | None") -> dict:
         if span is None:
             span = self.obs.tracer.current
-        recorder = self.obs.recorder
-        open_incident = (
-            recorder.open_incident
-            if getattr(recorder, "enabled", False)
-            else None
-        )
+        open_incident = self.obs.recorder.open_incident
         self.seq += 1
         return {
             "kind": "decision",
@@ -183,31 +187,25 @@ class ProvenanceLedger:
 
     def recent_context(self) -> list[dict]:
         """The last few fault/liveness entries (for repair records)."""
-        entries = list(self._context)
-        return [dict(entry) for entry in entries[-_CONTEXT_DEPTH:]]
+        return [dict(entry) for entry in self._context]
 
-    # ------------------------------------------------------------------
-    # Context feeds (not decisions themselves; evidence for them)
-    # ------------------------------------------------------------------
-    def on_fault(self, record: "FaultRecord") -> None:
-        """Fed by :meth:`repro.sim.faults.FaultInjector._record`."""
+    def _on_trace_record(self, record: dict) -> None:
+        """Tracer subscriber: keep applied faults and liveness verdicts,
+        the evidence for the repair decisions that follow."""
+        name = record["name"]
+        if name.startswith("fault."):
+            attrs = record["attrs"]
+            target, detail = attrs["target"], attrs["detail"]
+        elif name == "worker.dead" or name == "worker.silent":
+            target, detail = record["attrs"]["worker"], ""
+        else:
+            return
         self._context.append(
             {
-                "time": record.time,
-                "kind": "fault." + record.kind,
-                "target": record.target,
-                "detail": record.detail,
-            }
-        )
-
-    def on_liveness(self, verdict: str, worker: str) -> None:
-        """Fed by :meth:`~repro.fs.master.Master.check_worker_liveness`."""
-        self._context.append(
-            {
-                "time": self.obs.now(),
-                "kind": "worker." + verdict,
-                "target": worker,
-                "detail": "",
+                "time": record["time"],
+                "kind": name,
+                "target": target,
+                "detail": detail,
             }
         )
 
@@ -226,9 +224,11 @@ class ProvenanceLedger:
     ) -> dict:
         """One initial-placement decision (``cause="allocate"``).
 
-        ``decision`` is ``obs.last_placement`` — ``None`` for policies
-        that bypass the MOOP solver (rule-based, stock HDFS), in which
-        case the record still pins down *where* but carries no scores.
+        ``decision`` is the ``decision`` slot of the
+        :func:`~repro.core.moop.place_replicas` result — ``None`` for
+        policies that bypass the MOOP solver (rule-based, stock HDFS),
+        in which case the record still pins down *where* but carries no
+        scores.
         """
         record = self._base("placement", path, span)
         record.update(
@@ -278,10 +278,9 @@ class ProvenanceLedger:
             record["entries"] = placement.get("entries")
         return self._append(record)
 
-    def on_repair_outcome(self, record: dict | None, outcome: str) -> None:
+    def on_repair_outcome(self, record: dict, outcome: str) -> None:
         """Resolve a repair record once its copy finished or failed."""
-        if record is not None:
-            record["outcome"] = outcome
+        record["outcome"] = outcome
 
     def on_tiering(
         self,
@@ -398,44 +397,11 @@ class ProvenanceLedger:
 
 
 class NullLedger:
-    """The detached path: stateless, allocation-free, shared singleton."""
+    """The detached path: decision sites check ``enabled`` and skip."""
 
     enabled = False
 
     __slots__ = ()
-
-    def on_fault(self, record) -> None:
-        pass
-
-    def on_liveness(self, verdict, worker) -> None:
-        pass
-
-    def on_placement(self, *args, **kwargs) -> None:
-        return None
-
-    def on_repair(self, *args, **kwargs) -> None:
-        return None
-
-    def on_repair_outcome(self, record, outcome) -> None:
-        pass
-
-    def on_tiering(self, *args, **kwargs) -> None:
-        return None
-
-    def on_balancer_move(self, *args, **kwargs) -> None:
-        return None
-
-    def on_set_replication(self, *args, **kwargs) -> None:
-        return None
-
-    def on_replica_removed(self, *args, **kwargs) -> None:
-        return None
-
-    def on_delete(self, *args, **kwargs) -> None:
-        return None
-
-    def recent_context(self) -> list:
-        return []
 
     def detach(self) -> None:
         pass

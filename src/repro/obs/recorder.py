@@ -6,12 +6,13 @@ in the last thirty seconds", not "replay everything". The
 :class:`FlightRecorder` answers it the way aircraft recorders do —
 bounded, sim-clock ring buffers of the most recent telemetry:
 
-* finished **trace spans** and point **events** (fed by the tracer's
-  single :attr:`~repro.obs.tracing.Tracer.tap` subscriber);
+* finished **trace spans** and point **events**, and the applied
+  **fault records** read off the ``fault.<kind>`` events the fault
+  injector emits (one :attr:`~repro.obs.tracing.Tracer.subscribers`
+  entry feeds all three);
 * **metric watch-deltas** for a configurable set of instruments
   (via :meth:`~repro.obs.registry.MetricsRegistry.watch`);
-* applied **fault records**, **health sweeps**, and **alerts** (fed by
-  the fault injector, the health monitor, and every
+* **health sweeps** and **alerts** (fed by the health monitor and every
   :class:`~repro.obs.slo.AlertSink`).
 
 When a trigger fires — a fault activation, an SLO alert, a health
@@ -43,7 +44,6 @@ from repro.obs.export import SCHEMA_VERSION, _write_text, to_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.system import OctopusFileSystem
-    from repro.sim.faults import FaultRecord
 
 __all__ = [
     "RecorderConfig",
@@ -212,6 +212,11 @@ class FlightRecorder:
         self._open: dict | None = None
         self._timer = None
         self._attached = False
+        #: The tracer and registry :meth:`attach` hooked, so
+        #: :meth:`detach` unhooks them even after ``obs.disable()``
+        #: swapped in the null ones.
+        self._tracer = None
+        self._registry = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -221,21 +226,22 @@ class FlightRecorder:
         return self._attached
 
     def attach(self) -> "FlightRecorder":
-        """Hook the tracer tap, metric watchers, and ``obs.recorder``."""
+        """Subscribe to the tracer and metric watchers; become
+        ``obs.recorder``."""
         if self._attached:
             raise ConfigurationError("recorder already attached")
-        if getattr(self.obs.recorder, "enabled", False):
+        if self.obs.recorder.enabled:
             raise ConfigurationError(
                 "another FlightRecorder is already attached to this obs "
                 "bundle; detach it first"
             )
-        if self.obs.tracer.tap is not None:
-            raise ConfigurationError("the tracer tap is already taken")
         self._attached = True
         self.obs.recorder = self
-        self.obs.tracer.tap = self._on_trace_record
+        self._tracer = self.obs.tracer
+        self._tracer.subscribers.append(self._on_trace_record)
+        self._registry = self.obs.metrics
         for kind, name in self.config.watch_metrics:
-            self.obs.metrics.watch(kind, name, self._on_metric)
+            self._registry.watch(kind, name, self._on_metric)
         if self.system is not None:
             self.system.engine.crash_listeners.append(self._on_crash)
         return self
@@ -248,16 +254,15 @@ class FlightRecorder:
         self._attached = False
         # Bound-method equality (not identity): each attribute access
         # mints a fresh method object.
-        if self.obs.tracer.tap == self._on_trace_record:
-            self.obs.tracer.tap = None
+        self._tracer.subscribers.remove(self._on_trace_record)
+        for kind, name in self.config.watch_metrics:
+            self._registry.unwatch(kind, name, self._on_metric)
         if self.obs.recorder is self:
             self.obs.recorder = NULL_RECORDER
         if self.system is not None:
             listeners = self.system.engine.crash_listeners
             if self._on_crash in listeners:
                 listeners.remove(self._on_crash)
-        # Registry watchers cannot be unregistered; _on_metric checks
-        # _attached and goes inert instead.
 
     def flush(self) -> None:
         """Close any open incident at the current instant (end of run)."""
@@ -274,12 +279,28 @@ class FlightRecorder:
     def _on_trace_record(self, record: dict) -> None:
         if record["kind"] == "span":
             self.spans.append(record)
-        else:
-            self.events.append(record)
+            return
+        self.events.append(record)
+        name = record["name"]
+        if name.startswith("fault."):
+            # An applied fault (repro.sim.faults.FaultInjector); damaging
+            # ones open an incident, heals are only recorded.
+            kind = name[len("fault."):]
+            attrs = record["attrs"]
+            self.faults.append(
+                {
+                    "time": record["time"],
+                    "kind": kind,
+                    "target": attrs["target"],
+                    "detail": attrs["detail"],
+                }
+            )
+            if "fault" in self._trigger_set and not is_heal(
+                kind, attrs["detail"]
+            ):
+                self.trigger("fault", f"{kind} {attrs['target']}")
 
     def _on_metric(self, instrument, value: float) -> None:
-        if not self._attached:
-            return
         self.metric_deltas.append(
             {
                 "time": self.clock(),
@@ -289,21 +310,6 @@ class FlightRecorder:
                 "value": value,
             }
         )
-
-    def on_fault(self, record: "FaultRecord") -> None:
-        """Fed by :meth:`repro.sim.faults.FaultInjector._record`."""
-        self.faults.append(
-            {
-                "time": record.time,
-                "kind": record.kind,
-                "target": record.target,
-                "detail": record.detail,
-            }
-        )
-        if "fault" in self._trigger_set and not is_heal(
-            record.kind, record.detail
-        ):
-            self.trigger("fault", f"{record.kind} {record.target}")
 
     def on_alert(self, record: dict) -> None:
         """Fed by every :class:`~repro.obs.slo.AlertSink` transition."""
@@ -493,11 +499,9 @@ class NullRecorder:
     """The detached path: stateless, allocation-free, shared singleton."""
 
     enabled = False
+    open_incident = None
 
     __slots__ = ()
-
-    def on_fault(self, record) -> None:
-        pass
 
     def on_alert(self, record) -> None:
         pass

@@ -316,6 +316,10 @@ class MetricsRegistry:
             if k == kind and n == name:
                 instrument.watchers = watchers
 
+    def unwatch(self, kind: str, name: str, callback: Callable) -> None:
+        """Remove one :meth:`watch` subscription."""
+        self._watchers[(kind, name)].remove(callback)
+
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get("counter", Counter, name, labels)  # type: ignore[return-value]
 
@@ -449,6 +453,9 @@ class NullRegistry:
         return None
 
     def watch(self, kind: str = "", name: str = "", callback=None) -> None:
+        return None
+
+    def unwatch(self, kind: str = "", name: str = "", callback=None) -> None:
         return None
 
     def instruments(self) -> Iterator:

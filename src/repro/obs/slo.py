@@ -207,9 +207,7 @@ class AlertSink:
         obs = self.obs
         # The flight recorder sees every transition (and may open an
         # incident); the detached path is a shared no-op singleton.
-        recorder = getattr(obs, "recorder", None)
-        if recorder is not None:
-            recorder.on_alert(record)
+        obs.recorder.on_alert(record)
         if obs.enabled:
             obs.tracer.event(
                 f"{source}.alert",
@@ -432,9 +430,7 @@ class SloMonitor:
                 for group in groups:
                     self._evaluate(rule, group)
         except Exception as exc:
-            recorder = getattr(self.obs, "recorder", None)
-            if recorder is not None:
-                recorder.on_exception(f"slo-monitor:{self.name}", exc)
+            self.obs.recorder.on_exception(f"slo-monitor:{self.name}", exc)
             raise
 
     def _burns(

@@ -17,8 +17,9 @@ rounds, client ops — must be linked with an explicit ``parent=`` at
 creation time.
 
 Finished spans and point events are appended to ``tracer.records`` as
-plain dicts in completion order; :mod:`repro.obs.export` serializes them
-to JSONL. The disabled path (:data:`NULL_TRACER`) hands back shared
+plain dicts in completion order and handed to every callable in
+``tracer.subscribers``; :mod:`repro.obs.export` serializes them to
+JSONL. The disabled path (:data:`NULL_TRACER`) hands back shared
 singletons and records nothing.
 """
 
@@ -80,8 +81,8 @@ class Span:
             record["attrs"] = self.attrs
         tracer = self.tracer
         tracer.records.append(record)
-        if tracer.tap is not None:
-            tracer.tap(record)
+        for subscriber in tracer.subscribers:
+            subscriber(record)
 
     @property
     def duration(self) -> float:
@@ -118,10 +119,10 @@ class Tracer:
         self._next_id = 1
         self._stack: list[Span] = []
         self.records: list[dict] = []
-        #: Optional single subscriber called with every finished record
-        #: (the flight recorder's ring-buffer feed). ``None`` keeps the
-        #: hot path at one attribute load and one falsy check.
-        self.tap: Callable[[dict], None] | None = None
+        #: Callables invoked with every finished record, in subscription
+        #: order (the flight recorder's rings, the provenance ledger's
+        #: repair context). Empty, the hot path is one empty loop.
+        self.subscribers: list[Callable[[dict], None]] = []
 
     def now(self) -> float:
         return self._clock()
@@ -170,8 +171,8 @@ class Tracer:
         if attrs:
             record["attrs"] = attrs
         self.records.append(record)
-        if self.tap is not None:
-            self.tap(record)
+        for subscriber in self.subscribers:
+            subscriber(record)
 
 
 class _NullScope:
@@ -218,7 +219,6 @@ class NullTracer:
 
     records: list[dict] = []
     ids_issued = 0
-    tap = None
 
     def now(self) -> float:
         return 0.0

@@ -212,19 +212,16 @@ class FaultInjector:
         record = FaultRecord(self.system.engine.now, kind, target, detail)
         self.trace.append(record)
         # Mirror into the observability trace stream so chaos runs can
-        # correlate injected faults with the degradation they cause.
+        # correlate injected faults with the degradation they cause. The
+        # flight recorder (which opens an incident on damaging faults)
+        # and the provenance ledger (which cites them as repair context)
+        # read the same event as tracer subscribers.
         obs = self.system.cluster.obs
         if obs.enabled:
             obs.tracer.event(
                 "fault." + kind, target=target, detail=detail
             )
             obs.metrics.counter("faults_injected_total", kind=kind).inc()
-        # The flight recorder sees every applied fault (and opens an
-        # incident on damaging ones); detached = shared no-op singleton.
-        obs.recorder.on_fault(record)
-        # The provenance ledger keeps it as triggering context for the
-        # repair decisions that follow.
-        obs.ledger.on_fault(record)
 
     def trace_lines(self) -> list[str]:
         """The applied-fault log as canonical strings (seed-stable)."""

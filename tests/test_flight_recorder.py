@@ -12,6 +12,7 @@ The recorder's contract has three legs, each pinned here:
   bundles.
 """
 
+import hashlib
 import tracemalloc
 
 import pytest
@@ -33,7 +34,6 @@ from repro.obs import (
 )
 from repro.obs.recorder import is_heal
 from repro.obs.slo import AlertSink
-from repro.sim.faults import FaultRecord
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
 from repro.workloads.slive import OctopusNamespaceAdapter, SLive
@@ -45,6 +45,11 @@ class FakeClock:
 
     def __call__(self):
         return self.now
+
+
+def emit_fault(obs, kind, target, detail=""):
+    """An applied fault, as ``FaultInjector`` reports it to the tracer."""
+    obs.tracer.event("fault." + kind, target=target, detail=detail)
 
 
 def make_recorder(config=None, out_dir=None):
@@ -65,7 +70,6 @@ class TestLifecycle:
         assert obs.recorder is NULL_RECORDER
         assert not obs.recorder.enabled
         # Every feed absorbs calls without allocating or raising.
-        obs.recorder.on_fault(FaultRecord(0.0, "crash", "worker1"))
         obs.recorder.on_alert({"state": "firing"})
         obs.recorder.on_health({"time": 0.0})
         obs.recorder.on_exception("x", ValueError("boom"))
@@ -84,11 +88,11 @@ class TestLifecycle:
     def test_attach_hooks_and_detach_restores(self):
         obs, _, recorder = make_recorder()
         assert obs.recorder is recorder
-        assert obs.tracer.tap is not None
+        assert recorder._on_trace_record in obs.tracer.subscribers
         assert recorder.attached
         recorder.detach()
         assert obs.recorder is NULL_RECORDER
-        assert obs.tracer.tap is None
+        assert obs.tracer.subscribers == []
         assert not recorder.attached
         recorder.detach()  # idempotent
 
@@ -165,9 +169,31 @@ class TestRings:
     def test_detached_recorder_ignores_watched_metrics(self):
         obs, _, recorder = make_recorder()
         recorder.detach()
-        # The registry keeps the watcher, but it must go inert.
+        # Detach unwatches, so later updates leave no delta.
         obs.metrics.histogram("tier_read_seconds", tier="hdd").observe(0.02)
         assert len(recorder.metric_deltas) == 0
+
+    def test_reattached_recorder_records_each_delta_once(self):
+        obs, _, recorder = make_recorder()
+        recorder.detach()
+        recorder.attach()
+        obs.metrics.counter("blocks_read_total", tier="hdd").inc()
+        assert len(recorder.metric_deltas) == 1
+
+    def test_fault_events_fill_the_faults_ring(self):
+        obs, clock, recorder = make_recorder()
+        clock.now = 2.5
+        emit_fault(obs, "degrade_medium", "worker1:memory0", "factor=0.02")
+        assert list(recorder.faults) == [
+            {
+                "time": 2.5,
+                "kind": "degrade_medium",
+                "target": "worker1:memory0",
+                "detail": "factor=0.02",
+            }
+        ]
+        # The fault stays an ordinary trace event in the events ring too.
+        assert recorder.events[-1]["name"] == "fault.degrade_medium"
 
     def test_rings_stay_within_bounds(self):
         config = RecorderConfig(
@@ -186,9 +212,7 @@ class TestRings:
             span.end()
             obs.tracer.event("cache.hit")
             histogram.observe(0.001)
-            recorder.on_fault(
-                FaultRecord(clock.now, "degrade_medium", "w1:m0", "factor=0.5")
-            )
+            emit_fault(obs, "degrade_medium", "w1:m0", "factor=0.5")
             recorder.on_health({"time": clock.now, "violations": {}})
             sink.emit("slo", "r", "firing" if i % 2 else "resolved", "page")
             # The tracer's record list and the sink's timeline grow
@@ -240,27 +264,25 @@ def feed_incident(recorder, obs, clock):
             0.003
         )
     clock.now = 4.0
-    recorder.on_fault(
-        FaultRecord(4.0, "degrade_medium", "worker1:memory0", "factor=0.02")
-    )
+    emit_fault(obs, "degrade_medium", "worker1:memory0", "factor=0.02")
     clock.now = 4.2
     obs.metrics.histogram("tier_read_seconds", tier="memory").observe(0.4)
     sink = AlertSink(obs)
     clock.now = 4.5
     sink.emit("slo", "read-latency:burn:page", "firing", "page")
     clock.now = 5.0
-    recorder.on_fault(FaultRecord(5.0, "repair_medium", "worker1:memory0"))
+    emit_fault(obs, "repair_medium", "worker1:memory0")
     clock.now = 5.5
     sink.emit("slo", "read-latency:burn:page", "resolved", "page")
 
 
 class TestTriggers:
     def test_damaging_fault_opens_incident_heal_does_not(self):
-        _, clock, recorder = make_recorder()
+        obs, clock, recorder = make_recorder()
         clock.now = 1.0
-        recorder.on_fault(FaultRecord(1.0, "restart", "worker1"))
+        emit_fault(obs, "restart", "worker1")
         assert recorder.open_incident is None
-        recorder.on_fault(FaultRecord(1.0, "crash", "worker1"))
+        emit_fault(obs, "crash", "worker1")
         incident = recorder.open_incident
         assert incident is not None
         assert incident["triggers"][0]["reason"] == "fault"
@@ -291,10 +313,10 @@ class TestTriggers:
         assert recorder.open_incident["triggers"][0]["reason"] == "exception"
 
     def test_disabled_trigger_kinds_are_ignored(self):
-        _, clock, recorder = make_recorder(
+        obs, clock, recorder = make_recorder(
             RecorderConfig(triggers=("alert",))
         )
-        recorder.on_fault(FaultRecord(0.0, "crash", "worker1"))
+        emit_fault(obs, "crash", "worker1")
         recorder.on_exception("x", ValueError())
         assert recorder.open_incident is None
         # The fault is still *captured* — just not a trigger.
@@ -303,7 +325,7 @@ class TestTriggers:
     def test_extra_triggers_append_to_open_incident(self):
         obs, clock, recorder = make_recorder()
         clock.now = 1.0
-        recorder.on_fault(FaultRecord(1.0, "crash", "worker1"))
+        emit_fault(obs, "crash", "worker1")
         clock.now = 1.5
         AlertSink(obs).emit("slo", "r", "firing", "page")
         incident = recorder.open_incident
@@ -316,14 +338,14 @@ class TestTriggers:
         assert len(recorder.bundles[0]["incident"]["triggers"]) == 2
 
     def test_max_incidents_drops_later_triggers(self):
-        _, clock, recorder = make_recorder(
+        obs, clock, recorder = make_recorder(
             RecorderConfig(max_incidents=1, post_roll=0.5)
         )
-        recorder.on_fault(FaultRecord(0.0, "crash", "worker1"))
+        emit_fault(obs, "crash", "worker1")
         clock.now = 1.0
         recorder.flush()
         assert len(recorder.bundles) == 1
-        recorder.on_fault(FaultRecord(1.0, "crash", "worker2"))
+        emit_fault(obs, "crash", "worker2")
         assert recorder.open_incident is None
         assert recorder.dropped_triggers == 1
 
@@ -481,3 +503,18 @@ class TestDifferential:
 
     def test_untriggered_recorder_is_byte_invisible_on_slive(self):
         assert _slive_exports(True) == _slive_exports(False)
+
+
+class TestGoldenExport:
+    """The seeded ``examples/flight_recorder.py`` incident, pinned."""
+
+    def test_flight_recorder_bundle_digest(self, run_example):
+        out = run_example("flight_recorder") / "recorder-out"
+        path = out / "incident-001.json.gz"
+        bundle = read_bundle(str(path))
+        assert [f["kind"] for f in bundle["faults"]] == [
+            "degrade_medium", "repair_medium"
+        ]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5fab164bc540c61b36b50f1f814f79248dc3bc9bb237d2a8af9dff336698182d"
+        )

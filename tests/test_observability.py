@@ -15,10 +15,11 @@ import tracemalloc
 import pytest
 
 import repro.obs
-from repro import OctopusFileSystem
+from repro import OctopusFileSystem, ReplicationVector
 from repro.bench.deployments import build_deployment
 from repro.cluster import small_cluster_spec
 from repro.cluster.spec import paper_cluster_spec
+from repro.core.moop import PlacementRequest, place_replicas
 from repro.obs import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
@@ -26,6 +27,7 @@ from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
     Observability,
+    ProvenanceLedger,
     Tracer,
     metrics_json,
     prometheus_text,
@@ -408,7 +410,6 @@ class TestDisabledPath:
         assert obs.enable().metrics is live  # idempotent
         obs.disable()
         assert obs.metrics is NULL_REGISTRY
-        assert obs.last_placement is None
 
     def test_disabled_workload_records_nothing(self):
         fs = OctopusFileSystem(small_cluster_spec())
@@ -568,6 +569,55 @@ class TestInstrumentedRun:
         FaultInjector(fs).crash("worker2")
         fs.await_replication()
         assert validate_trace_records(fs.obs.tracer.records) == []
+
+
+class TestPlacementDecision:
+    """A MOOP placement's decision record travels with its targets."""
+
+    @staticmethod
+    def place(fs):
+        request = PlacementRequest(
+            rep_vector=ReplicationVector(unspecified=3), block_size=4 * MB
+        )
+        return place_replicas(fs.cluster, request)
+
+    def test_decision_matches_its_trace_event(self):
+        fs = OctopusFileSystem(small_cluster_spec())
+        fs.obs.enable()
+        placement = self.place(fs)
+        (event,) = [
+            r for r in fs.obs.tracer.records
+            if r["kind"] == "event" and r["name"] == "placement.decision"
+        ]
+        assert placement.decision["score"] == event["attrs"]["score"]
+        assert placement.decision["chosen"] == [m.medium_id for m in placement]
+
+    def test_no_decision_with_observability_off(self):
+        fs = OctopusFileSystem(small_cluster_spec())
+        placement = self.place(fs)
+        assert len(placement) == 3
+        assert placement.decision is None
+
+    @pytest.mark.parametrize(
+        "deployment, scored", [("octopus", True), ("rule", False)]
+    )
+    def test_only_moop_allocations_carry_scores(self, deployment, scored):
+        fs = build_deployment(deployment, spec=small_cluster_spec())
+        fs.obs.enable()
+        ledger = ProvenanceLedger(fs.obs).attach()
+        fs.client(on="worker1").write_file("/scored", size=8 * MB)
+        allocs = [
+            r for r in fs.obs.tracer.records
+            if r["kind"] == "span" and r["name"] == "master.allocate_block"
+        ]
+        placements = [
+            r for r in ledger.records if r["action"] == "placement"
+        ]
+        assert allocs and len(placements) == len(allocs)
+        for alloc in allocs:
+            assert ("placement_score" in alloc["attrs"]) is scored
+        for record in placements:
+            assert ("score" in record) is scored
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ Mirrors the flight recorder's contract tests for the new stream:
 """
 
 import gzip
+import hashlib
 
 import pytest
 
@@ -54,17 +55,7 @@ class TestLifecycle:
         obs = Observability()
         assert obs.ledger is NULL_LEDGER
         assert not obs.ledger.enabled
-        # Every feed absorbs calls without allocating or raising.
-        assert obs.ledger.on_placement() is None
-        assert obs.ledger.on_repair() is None
-        obs.ledger.on_repair_outcome(None, "completed")
-        assert obs.ledger.on_tiering() is None
-        assert obs.ledger.on_balancer_move() is None
-        assert obs.ledger.on_set_replication() is None
-        assert obs.ledger.on_replica_removed() is None
-        assert obs.ledger.on_delete() is None
-        obs.ledger.on_liveness("dead", "worker1")
-        assert obs.ledger.recent_context() == []
+        # Decision sites check ``enabled`` and skip; detach is a no-op.
         obs.ledger.detach()
 
     def test_requires_enabled_observability(self):
@@ -78,9 +69,11 @@ class TestLifecycle:
     def test_attach_and_detach_restore_null(self):
         obs, ledger = make_ledger()
         assert obs.ledger is ledger
+        assert ledger._on_trace_record in obs.tracer.subscribers
         assert ledger.attached
         ledger.detach()
         assert obs.ledger is NULL_LEDGER
+        assert obs.tracer.subscribers == []
         assert not ledger.attached
         ledger.detach()  # idempotent
 
@@ -97,9 +90,13 @@ class TestLifecycle:
 
     def test_disable_detaches_ledger(self):
         obs, ledger = make_ledger()
+        tracer = obs.tracer
         obs.disable()
         assert obs.ledger is NULL_LEDGER
         assert not ledger.attached
+        # Unsubscribed from the tracer it joined, not the null one
+        # ``disable`` swapped in first.
+        assert tracer.subscribers == []
 
 
 # ----------------------------------------------------------------------
@@ -121,12 +118,31 @@ class TestRecords:
     def test_context_snapshot_is_bounded_and_copied(self):
         obs, ledger = make_ledger()
         for index in range(10):
-            ledger.on_liveness("dead", f"worker{index}")
+            obs.tracer.event("worker.dead", worker=f"worker{index}")
         context = ledger.recent_context()
         assert len(context) == 5  # _CONTEXT_DEPTH
         assert context[-1]["target"] == "worker9"
         context[-1]["target"] = "mutated"
         assert ledger.recent_context()[-1]["target"] == "worker9"
+
+    def test_context_comes_from_fault_and_liveness_events(self):
+        clock = iter([1.0, 2.0, 3.0, 4.0])
+        obs = Observability(clock=lambda: next(clock), enabled=True)
+        ledger = ProvenanceLedger(obs).attach()
+        obs.tracer.event("fault.crash", target="worker1", detail="")
+        obs.tracer.event("placement.decision", score=0.5)
+        obs.tracer.event("worker.silent", worker="worker2")
+        obs.tracer.event(
+            "fault.degrade_medium", target="worker3:ssd0", detail="factor=0.1"
+        )
+        assert ledger.recent_context() == [
+            {"time": 1.0, "kind": "fault.crash", "target": "worker1",
+             "detail": ""},
+            {"time": 3.0, "kind": "worker.silent", "target": "worker2",
+             "detail": ""},
+            {"time": 4.0, "kind": "fault.degrade_medium",
+             "target": "worker3:ssd0", "detail": "factor=0.1"},
+        ]
 
     def test_bounded_deque_counts_dropped(self):
         obs, ledger = make_ledger(max_records=3)
@@ -451,3 +467,28 @@ class TestExplain:
         second = _chaos_tiering_ledger(seed=42, duration=20.0)[1]
         strip = lambda rs: [dict(r) for r in rs]
         assert strip(first.records) == strip(second.records)
+
+
+class TestGoldenExport:
+    """The seeded ``examples/explain_placement.py`` scenario, pinned.
+
+    Its ledger holds 8 repairs whose context cites ``fault.*`` and
+    ``worker.dead`` entries, plus 4 scored placements, so the digest
+    pins the repair-context feed and the placement scores end to end.
+    """
+
+    def test_explain_placement_ledger_digest(self, run_example):
+        out = run_example("explain_placement") / "provenance-out"
+        path = out / "ledger.jsonl.gz"
+        records = read_jsonl_records(str(path))
+        repairs = [r for r in records if r["action"] == "repair"]
+        kinds = {c["kind"] for r in repairs for c in r["context"]}
+        assert len(repairs) == 8
+        assert "worker.dead" in kinds
+        assert any(kind.startswith("fault.") for kind in kinds)
+        assert sum(
+            1 for r in records if r["action"] == "placement" and "score" in r
+        ) == 4
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9f980e9e55fbc6166294becd037be7125b764e98e6576ba58231c24ea9aa8319"
+        )

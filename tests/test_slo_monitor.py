@@ -129,6 +129,20 @@ class TestWatchHooks:
         registry.timeseries("ts").sample(7.0)
         assert sampled == [7.0]
 
+    def test_unwatch_stops_existing_and_future_instruments(self):
+        registry = MetricsRegistry()
+        seen = []
+
+        def watcher(inst, v):
+            seen.append(v)
+
+        registry.watch("counter", "ops", watcher)
+        existing = registry.counter("ops", op="a")
+        registry.unwatch("counter", "ops", watcher)
+        existing.inc()
+        registry.counter("ops", op="b").inc()
+        assert seen == []
+
     def test_unwatched_instruments_have_no_watchers(self):
         registry = MetricsRegistry()
         counter = registry.counter("quiet")
@@ -137,6 +151,7 @@ class TestWatchHooks:
     def test_null_registry_watch_is_a_noop(self):
         registry = NullRegistry()
         assert registry.watch("counter", "x", lambda *a: None) is None
+        assert registry.unwatch("counter", "x", lambda *a: None) is None
         registry.counter("x").inc()  # still a no-op
 
 
