@@ -70,8 +70,8 @@ class OctopusFileSystem:
             self.workers[node.name] = worker
             self.master.register_worker(worker)
         self._services_running = False
-        #: Called with the path on every Client.open (cache managers,
-        #: §6-style schedulers, and monitoring hook in here).
+        #: Called with the path on every Client.open (the tiering
+        #: engine, §6-style schedulers, and monitoring hook in here).
         self.access_listeners: list = []
         #: Deterministic fault injection (repro.sim.faults). Passing a
         #: ``faults=FaultSchedule(...)`` argument arms the schedule as an

@@ -313,6 +313,8 @@ class ProvenanceLedger:
             "min_residency",
             "cooldown",
             "headroom",
+            "memory_budget",
+            "promote_after",
         ):
             value = getattr(policy, attr, None)
             if value is not None:

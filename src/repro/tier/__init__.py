@@ -7,6 +7,8 @@ automatic up/down-tiering": access signals feed a
 reports into a frozen :class:`~repro.tier.policy.ObservedState`, and a
 pure :class:`~repro.tier.policy.TieringPolicy` decides which files gain
 or lose memory replicas through the public ``set_replication`` path.
+The paper's §6 multi-level cache is the ``LruPolicy`` / ``LfuPolicy``
+pair on the same engine.
 
 >>> from repro import OctopusFileSystem
 >>> from repro.cluster import small_cluster_spec
@@ -26,6 +28,8 @@ from repro.tier.policy import (
     PROMOTE,
     DecayHeatPolicy,
     FileObservation,
+    LfuPolicy,
+    LruPolicy,
     ObservedState,
     StaticVectorPolicy,
     TierObservation,
@@ -39,6 +43,8 @@ __all__ = [
     "DEMOTE",
     "FileObservation",
     "HeatTracker",
+    "LfuPolicy",
+    "LruPolicy",
     "ObservedState",
     "PROMOTE",
     "StaticVectorPolicy",

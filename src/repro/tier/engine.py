@@ -1,14 +1,15 @@
 """The tiering engine: closes the metrics → decision → replication loop.
 
 A :class:`TieringEngine` attaches to a running
-:class:`~repro.fs.system.OctopusFileSystem` the same way the §6
-:class:`~repro.core.cache.CacheManager` does — through the file
-system's access listeners — but generalizes its promote-after-N counter
-into the automation loop of the follow-up paper: per-file
-exponential-decay heat (:class:`~repro.tier.heat.HeatTracker`), tier
-capacity/latency signals, and a pluggable pure
-:class:`~repro.tier.policy.TieringPolicy` that issues replication-
-vector changes through the public ``set_replication`` path. The
+:class:`~repro.fs.system.OctopusFileSystem` through the file system's
+access listeners and runs the automation loop of the follow-up paper:
+per-file exponential-decay heat and access counts
+(:class:`~repro.tier.heat.HeatTracker`), tier capacity/latency signals,
+and a pluggable pure :class:`~repro.tier.policy.TieringPolicy` that
+issues replication-vector changes through the public
+``set_replication`` path. The paper's §6 multi-level cache is two such
+policies (:class:`~repro.tier.policy.LruPolicy`,
+:class:`~repro.tier.policy.LfuPolicy`), run in the same rounds. The
 replication manager then moves the actual replicas asynchronously,
 exactly as it would for an application-issued vector change.
 
@@ -181,7 +182,7 @@ class TieringEngine:
         """
         now = self.system.engine.now
         files = []
-        for path, heat in self.heat.snapshot(now).items():
+        for path, (heat, last_access, accesses) in self.heat.snapshot(now).items():
             master = self.system.master_for(path)
             try:
                 status = master.get_status(path)
@@ -206,6 +207,8 @@ class TieringEngine:
                     memory_replicas=memory_replicas,
                     policy_memory_replicas=1 if path in self._promoted else 0,
                     under_construction=status.under_construction,
+                    accesses=accesses,
+                    last_access=last_access,
                     last_promoted=self._promoted.get(path, -math.inf),
                     last_demoted=self._last_demoted.get(path, -math.inf),
                 )
@@ -236,6 +239,7 @@ class TieringEngine:
             half_life=self.heat.half_life,
             files=tuple(files),
             tiers=tiers,
+            memory_tier=self.memory_tier,
             read_p99=read_p99,
             burn_rates=burn_rates,
             alerts_firing=alerts_firing,
@@ -303,7 +307,10 @@ class TieringEngine:
                     )
             obs.metrics.gauge("tier_policy_cached_files").set(len(self._promoted))
             span.end()
-        self.heat.prune(state.now)
+        # A promoted file stays tracked however cold it gets: observe()
+        # only walks the tracker, so pruning it would strand its memory
+        # replica where no policy can ever demote it.
+        self.heat.prune(state.now, keep=self._promoted)
         return decisions
 
     def run_rounds(self, rounds: int) -> list[Decision]:

@@ -10,6 +10,10 @@ files with identical access traces always score identically — heat is a
 pure function of the (path, time) access sequence, which is what lets
 the policy layer stay deterministic and testable.
 
+Beside the heat, each entry keeps the plain access count since the key
+was first seen (or last pruned): the recency and frequency signals the
+LRU and LFU policies rank by.
+
 The tracker is storage-agnostic: it knows nothing about vectors, tiers,
 or the file system. :class:`~repro.tier.engine.TieringEngine` feeds it
 from the file system's access listeners and snapshots it once per
@@ -33,8 +37,8 @@ class HeatTracker:
         if half_life <= 0:
             raise ConfigurationError("heat half-life must be positive")
         self.half_life = float(half_life)
-        #: key -> (heat at ``last``, last update time)
-        self._entries: dict[str, tuple[float, float]] = {}
+        #: key -> (heat at ``last``, last access time, access count)
+        self._entries: dict[str, tuple[float, float, int]] = {}
 
     def _decayed(self, heat: float, last: float, now: float) -> float:
         if now <= last:
@@ -45,10 +49,11 @@ class HeatTracker:
         """Note one access at simulated time ``now``; returns the new heat."""
         entry = self._entries.get(key)
         if entry is None:
-            heat = float(weight)
+            heat, accesses = float(weight), 1
         else:
             heat = self._decayed(entry[0], entry[1], now) + weight
-        self._entries[key] = (heat, now)
+            accesses = entry[2] + 1
+        self._entries[key] = (heat, now, accesses)
         return heat
 
     def heat(self, key: str, now: float) -> float:
@@ -58,32 +63,37 @@ class HeatTracker:
             return 0.0
         return self._decayed(entry[0], entry[1], now)
 
-    def snapshot(self, now: float) -> dict[str, float]:
-        """All tracked keys with their heat decayed to ``now``, sorted.
+    def snapshot(self, now: float) -> dict[str, tuple[float, float, int]]:
+        """Every tracked key -> ``(heat decayed to now, last access time,
+        access count)``.
 
         The dict iterates in key order so consumers that walk it are
         deterministic regardless of access interleaving.
         """
         return {
-            key: self._decayed(heat, last, now)
-            for key, (heat, last) in sorted(self._entries.items())
+            key: (self._decayed(heat, last, now), last, accesses)
+            for key, (heat, last, accesses) in sorted(self._entries.items())
         }
 
     def forget(self, key: str) -> None:
         """Stop tracking ``key`` (deleted file)."""
         self._entries.pop(key, None)
 
-    def prune(self, now: float, floor: float = DEFAULT_PRUNE_FLOOR) -> int:
+    def prune(
+        self, now: float, floor: float = DEFAULT_PRUNE_FLOOR, keep=()
+    ) -> int:
         """Drop keys whose heat decayed below ``floor``; returns the count.
 
         Bounds tracker memory on long runs: a key untouched for
         ``~20 half-lives`` decays below the default floor and is
-        reclaimed on the next policy round.
+        reclaimed on the next policy round. Keys in ``keep`` stay
+        however cold they are (the engine passes the files it holds a
+        memory replica for, so they stay observable until demoted).
         """
         cold = [
             key
-            for key, (heat, last) in self._entries.items()
-            if self._decayed(heat, last, now) < floor
+            for key, (heat, last, _) in self._entries.items()
+            if key not in keep and self._decayed(heat, last, now) < floor
         ]
         for key in cold:
             del self._entries[key]

@@ -12,7 +12,7 @@ state must always yield the same actions, and invariants like "the
 movement budget is never exceeded" or "no file is promoted and demoted
 within one half-life" can be checked against the state alone.
 
-Two policies ship:
+Four policies ship:
 
 * :class:`StaticVectorPolicy` — the no-op baseline. Files keep whatever
   vector the application gave them; the differential suite proves that
@@ -24,6 +24,10 @@ Two policies ship:
   ``demote_heat``, with promotion/demotion hysteresis (``min_residency``
   and ``cooldown``, both defaulting to one heat half-life) and a
   per-round ``movement_budget`` so tier bandwidth is never swamped.
+* :class:`LruPolicy` and :class:`LfuPolicy` — the paper's §6 multi-level
+  cache: promote a file after ``promote_after`` accesses and keep the
+  bytes this engine pinned in memory within ``memory_budget``, evicting
+  the least recently (LRU) or least frequently (LFU) used file first.
 """
 
 from __future__ import annotations
@@ -58,6 +62,10 @@ class FileObservation:
     memory_replicas: int  # total replicas in the memory tier
     policy_memory_replicas: int  # of those, how many this engine added
     under_construction: bool = False
+    #: Accesses since the heat tracker first saw (or last pruned) the
+    #: file, and the simulated time of the latest one.
+    accesses: int = 0
+    last_access: float = -math.inf
     #: Simulated time of the engine's last promotion/demotion of this
     #: file; -inf when it never happened (so hysteresis gates pass).
     last_promoted: float = -math.inf
@@ -85,6 +93,9 @@ class ObservedState:
     half_life: float
     files: tuple[FileObservation, ...] = ()
     tiers: tuple[TierObservation, ...] = ()
+    #: The tier the engine counts ``memory_replicas`` in and policies
+    #: promote into.
+    memory_tier: str = "MEMORY"
     #: p99 of ``block_read_seconds`` at observation time (None when the
     #: metrics registry is disabled or saw no reads yet).
     read_p99: float | None = None
@@ -107,6 +118,16 @@ class ObservedState:
             if key == rule:
                 return burn
         return None
+
+
+def _actions(state, demotions, promotions) -> list[TieringAction]:
+    """Demotions, then promotions, all on the state's memory tier."""
+    return [
+        TieringAction(f.path, DEMOTE, state.memory_tier, f.heat) for f in demotions
+    ] + [
+        TieringAction(f.path, PROMOTE, state.memory_tier, f.heat)
+        for f in promotions
+    ]
 
 
 class TieringPolicy(ABC):
@@ -162,7 +183,6 @@ class DecayHeatPolicy(TieringPolicy):
     movement_budget: int = 4
     min_residency: float | None = None
     cooldown: float | None = None
-    memory_tier: str = "MEMORY"
     headroom: float = 0.1
     name: str = field(default="decay-heat", init=False)
 
@@ -200,7 +220,7 @@ class DecayHeatPolicy(TieringPolicy):
             key=lambda f: (f.heat, f.path),
         )
 
-        memory = state.tier(self.memory_tier)
+        memory = state.tier(state.memory_tier)
         if memory is None:
             budget_bytes = 0.0
         else:
@@ -225,11 +245,79 @@ class DecayHeatPolicy(TieringPolicy):
                 promotions.append(f)
                 budget_bytes -= f.length
 
-        actions = [
-            TieringAction(f.path, DEMOTE, self.memory_tier, f.heat)
-            for f in demotions
-        ] + [
-            TieringAction(f.path, PROMOTE, self.memory_tier, f.heat)
-            for f in promotions
-        ]
-        return actions[: self.movement_budget]
+        return _actions(state, demotions, promotions)[: self.movement_budget]
+
+
+@dataclass(frozen=True)
+class _CachePolicy(TieringPolicy):
+    """The §6 cache: promote after ``promote_after`` accesses, evict to
+    keep policy-cached bytes within ``memory_budget``.
+
+    Subclasses define :meth:`rank`. Each round walks the policy-cached
+    files and the candidates (closed, no memory replica, at least
+    ``promote_after`` accesses) from the highest rank down, keeping each
+    one that still fits the budget: kept candidates are promoted, cached
+    files that no longer fit are evicted, lowest rank first. So a file
+    only ever displaces files ranked below it (for LFU, admission
+    control), and a file too large for the budget never gets in. A
+    strictly lowest-first eviction could also evict small files that fit
+    again once a larger one is gone, and promote them back next round;
+    walking by rank instead makes one round settle the cache (the path
+    breaks the last tie), so it never flaps without new accesses. Only
+    replicas this engine added are ever cached or evicted, so an
+    application's memory pin is never doubled, counted, or stripped.
+    """
+
+    memory_budget: int
+    promote_after: int = 2
+
+    def __post_init__(self) -> None:
+        if self.memory_budget <= 0:
+            raise ConfigurationError("cache memory budget must be positive")
+        if self.promote_after < 1:
+            raise ConfigurationError("promote_after must be >= 1")
+
+    def rank(self, f: FileObservation) -> tuple:
+        raise NotImplementedError
+
+    def decide(self, state: ObservedState) -> list[TieringAction]:
+        room = self.memory_budget
+        demotions, promotions = [], []
+        for f in sorted(state.files, key=self.rank, reverse=True):
+            cached = f.policy_memory_replicas > 0
+            if not cached and (
+                f.memory_replicas > 0
+                or f.under_construction
+                or f.accesses < self.promote_after
+            ):
+                continue
+            if f.length <= room:
+                room -= f.length
+                if not cached:
+                    promotions.append(f)
+            elif cached:
+                demotions.append(f)
+        return _actions(state, demotions[::-1], promotions)
+
+
+@dataclass(frozen=True)
+class LruPolicy(_CachePolicy):
+    """Evict the least recently used policy-cached file first."""
+
+    name = "lru"
+
+    def rank(self, f: FileObservation) -> tuple:
+        return (f.last_access, f.path)
+
+
+@dataclass(frozen=True)
+class LfuPolicy(_CachePolicy):
+    """Evict the least frequently used policy-cached file first (ties:
+    least recent). Admission control falls out of the rank: a file with
+    fewer accesses can never displace a more frequently used resident,
+    so a burst of one-hit wonders cannot flush the working set."""
+
+    name = "lfu"
+
+    def rank(self, f: FileObservation) -> tuple:
+        return (f.accesses, f.last_access, f.path)

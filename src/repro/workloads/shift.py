@@ -13,8 +13,8 @@ post-shift p99 and memory hit rate — the comparison
 ``BENCH_tiering.json`` records.
 
 The driver composes with whatever management is attached to the file
-system (a :class:`~repro.tier.TieringEngine`, the §6 ``CacheManager``,
-or nothing): it only opens files and measures.
+system (a :class:`~repro.tier.TieringEngine` under any policy, the §6
+LRU/LFU cache included, or nothing): it only opens files and measures.
 """
 
 from __future__ import annotations

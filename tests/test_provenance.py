@@ -36,7 +36,7 @@ from repro.obs import (
     to_jsonl,
     validate_ledger_records,
 )
-from repro.tier import DecayHeatPolicy, TieringEngine
+from repro.tier import DecayHeatPolicy, LfuPolicy, TieringEngine
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
 from repro.workloads.slive import OctopusNamespaceAdapter, SLive
@@ -231,6 +231,18 @@ class TestRecords:
         assert record["heat"] == round(2.71828182, 6)
         assert record["policy"] == "decay-heat"
         assert record["round"] == 3
+
+    def test_tiering_record_carries_cache_policy_budget(self):
+        obs, ledger = make_ledger()
+        record = ledger.on_tiering(
+            "/f", kind="demote", tier="MEMORY", heat=0.0, outcome="applied",
+            detail="", policy=LfuPolicy(memory_budget=8 * MB, promote_after=3),
+            round_number=1,
+        )
+        assert record["policy"] == "lfu"
+        assert record["thresholds"] == {
+            "memory_budget": 8 * MB, "promote_after": 3,
+        }
 
 
 # ----------------------------------------------------------------------

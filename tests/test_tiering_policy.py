@@ -80,6 +80,23 @@ class TestHeatTracker:
         assert tracker.prune(now=30.0) == 1
         assert "/new" in tracker and "/old" not in tracker
 
+    def test_snapshot_carries_last_access_and_count(self):
+        tracker = HeatTracker(half_life=10.0)
+        tracker.record("/b", now=0.0)
+        tracker.record("/a", now=0.0)
+        tracker.record("/a", now=10.0)
+        assert tracker.snapshot(10.0) == {
+            "/a": (pytest.approx(1.5), 10.0, 2),
+            "/b": (pytest.approx(0.5), 0.0, 1),
+        }
+
+    def test_prune_spares_kept_keys(self):
+        tracker = HeatTracker(half_life=1.0)
+        tracker.record("/old", now=0.0)
+        tracker.record("/kept", now=0.0)
+        assert tracker.prune(now=30.0, keep={"/kept"}) == 1
+        assert "/kept" in tracker and "/old" not in tracker
+
     def test_invalid_half_life_rejected(self):
         for bad in (0.0, -1.0):
             with pytest.raises(ConfigurationError):
@@ -412,6 +429,35 @@ class TestTieringEngine:
         vector = fs.master.get_status("/lone").rep_vector
         assert vector.total_replicas >= 1
         assert client.read_file("/lone") == payload
+
+    def test_observation_carries_access_count_and_time(self, fs, client):
+        engine = TieringEngine(fs).attach()
+        client.write_file("/counted", size=MB)
+        heat_up(fs, client, "/counted", accesses=3)
+        (observed,) = engine.observe().files
+        assert observed.accesses == 3
+        assert observed.last_access == engine.heat.snapshot(0.0)["/counted"][1]
+        assert engine.observe().memory_tier == "MEMORY"
+
+    def test_heat_prune_never_strands_a_promoted_replica(self, fs, client):
+        """Both files cool far below the prune floor while promoted; a
+        movement budget of one demotes only /a in the first round. /b
+        must still be observed (and demoted) in the next one."""
+        engine = TieringEngine(
+            fs, policy=DecayHeatPolicy(movement_budget=1), half_life=10.0
+        ).attach()
+        for path in ("/a", "/b"):
+            client.write_file(path, size=MB, rep_vector=ReplicationVector.of(hdd=2))
+            heat_up(fs, client, path)
+        engine.run_rounds(2)
+        fs.await_replication()
+        assert memory_count(fs, "/a") == memory_count(fs, "/b") == 1
+        fs.engine.run(until=fs.engine.now + 300.0)
+        engine.run_rounds(2)
+        fs.await_replication()
+        assert engine.stats.demotions == 2
+        assert memory_count(fs, "/a") == memory_count(fs, "/b") == 0
+        assert len(engine.heat) == 0  # nothing left to keep
 
     def test_start_stop_and_periodic_rounds(self, fs, client):
         engine = TieringEngine(

@@ -1,7 +1,8 @@
 """Property tests for tiering-policy invariants.
 
-Because :class:`DecayHeatPolicy` is a pure function of a frozen
-:class:`ObservedState`, its invariants can be stated over *arbitrary*
+Because :class:`DecayHeatPolicy` and the §6 cache policies
+(:class:`LruPolicy`, :class:`LfuPolicy`) are pure functions of a frozen
+:class:`ObservedState`, their invariants can be stated over *arbitrary*
 states, not just ones a live file system happens to produce:
 
 * the movement budget is never exceeded;
@@ -10,6 +11,9 @@ states, not just ones a live file system happens to produce:
 * no action targets a file the policy has no business touching
   (promotions only for non-resident, closed files; demotions only for
   policy-cached ones);
+* the cache policies keep the bytes they pinned in memory within
+  ``memory_budget``, and one round settles them (deciding again on the
+  state the round left moves nothing);
 * the hysteresis band holds end-to-end: driving a real engine with a
   seeded random workload never promotes and demotes the same file
   within one half-life.
@@ -33,6 +37,8 @@ from repro.tier import (
     DecayHeatPolicy,
     FileObservation,
     HeatTracker,
+    LfuPolicy,
+    LruPolicy,
     ObservedState,
     TieringEngine,
     TierObservation,
@@ -57,6 +63,8 @@ def file_observations():
         memory_replicas=st.integers(min_value=0, max_value=2),
         policy_memory_replicas=st.integers(min_value=0, max_value=1),
         under_construction=st.booleans(),
+        accesses=st.integers(min_value=0, max_value=6),
+        last_access=stamps,
         last_promoted=stamps,
         last_demoted=stamps,
     )
@@ -97,6 +105,24 @@ def policies():
     )
 
 
+def cache_policies():
+    return st.sampled_from([LruPolicy, LfuPolicy]).flatmap(
+        lambda cls: st.builds(
+            cls,
+            memory_budget=st.integers(min_value=1, max_value=128 * MB),
+            promote_after=st.integers(min_value=1, max_value=4),
+        )
+    )
+
+
+def any_policies():
+    return st.one_of(policies(), cache_policies())
+
+
+def policy_cached_bytes(files):
+    return sum(f.length for f in files if f.policy_memory_replicas > 0)
+
+
 # ----------------------------------------------------------------------
 # Pure-policy properties
 # ----------------------------------------------------------------------
@@ -105,7 +131,7 @@ def test_movement_budget_never_exceeded(policy, state):
     assert len(policy.decide(state)) <= policy.movement_budget
 
 
-@given(policy=policies(), state=observed_states())
+@given(policy=any_policies(), state=observed_states())
 def test_decide_is_pure(policy, state):
     """Same state → same actions; repeated decisions stay identical and
     neither the state nor the policy is mutated along the way."""
@@ -131,7 +157,54 @@ def test_actions_only_touch_eligible_files(policy, state):
             assert observed.heat <= policy.demote_heat
 
 
-@given(policy=policies(), state=observed_states())
+@given(policy=cache_policies(), state=observed_states())
+def test_cache_actions_only_touch_eligible_files(policy, state):
+    by_path = {f.path: f for f in state.files}
+    for action in policy.decide(state):
+        observed = by_path[action.path]
+        assert action.tier == state.memory_tier
+        if action.kind == PROMOTE:
+            assert observed.memory_replicas == 0
+            assert not observed.under_construction
+            assert observed.accesses >= policy.promote_after
+            assert observed.length <= policy.memory_budget
+        else:
+            assert action.kind == DEMOTE
+            assert observed.policy_memory_replicas > 0
+
+
+@given(policy=cache_policies(), state=observed_states())
+def test_cache_bytes_fit_budget_after_the_round(policy, state):
+    """Whatever the cache held before (a lowered budget, a swapped
+    policy), the round's actions leave it within ``memory_budget``."""
+    by_path = {f.path: f for f in state.files}
+    after = policy_cached_bytes(state.files)
+    for action in policy.decide(state):
+        delta = by_path[action.path].length
+        after += delta if action.kind == PROMOTE else -delta
+    assert after <= policy.memory_budget
+
+
+@given(policy=cache_policies(), state=observed_states())
+def test_cache_settles_in_one_round(policy, state):
+    """Applying a round's actions and deciding again, with no accesses
+    in between, moves nothing: the cache never flaps."""
+    kinds = {a.path: a.kind for a in policy.decide(state)}
+    after = []
+    for f in state.files:
+        if kinds.get(f.path) == PROMOTE:
+            f = dataclasses.replace(f, memory_replicas=1, policy_memory_replicas=1)
+        elif kinds.get(f.path) == DEMOTE:
+            f = dataclasses.replace(
+                f,
+                memory_replicas=max(0, f.memory_replicas - 1),
+                policy_memory_replicas=0,
+            )
+        after.append(f)
+    assert policy.decide(dataclasses.replace(state, files=tuple(after))) == []
+
+
+@given(policy=any_policies(), state=observed_states())
 def test_no_file_promoted_and_demoted_in_one_round(policy, state):
     actions = policy.decide(state)
     promoted = {a.path for a in actions if a.kind == PROMOTE}
